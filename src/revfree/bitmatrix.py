@@ -145,15 +145,15 @@ class BinaryMatrix:
             ones = data["ones"]
         except (KeyError, TypeError) as exc:
             raise PreconditionError(f"malformed matrix document: missing {exc}") from exc
-        if not (isinstance(rows, int) and isinstance(cols, int)):
+        if not (type(rows) is int and type(cols) is int):
             raise PreconditionError("matrix rows/cols must be integers")
         pairs = []
         try:
-            for entry in ones:
+            for idx, entry in enumerate(ones):
                 if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
-                    raise PreconditionError(f"malformed 1-entry {entry!r}")
-                if not (isinstance(entry[0], int) and isinstance(entry[1], int)):
-                    raise PreconditionError(f"non-integer 1-entry {entry!r}")
+                    raise PreconditionError(f"malformed 1-entry ones[{idx}]: {entry!r}")
+                if not (type(entry[0]) is int and type(entry[1]) is int):
+                    raise PreconditionError(f"non-integer 1-entry ones[{idx}]: {entry!r}")
                 pairs.append((entry[0], entry[1]))
         except TypeError as exc:
             raise PreconditionError(f"malformed matrix document: {exc}") from exc

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, islice, product
 
 from .bitmatrix import BinaryMatrix, S_PATTERN, contains, count_s
 from .errors import PreconditionError
@@ -64,6 +64,11 @@ def _check_matching_host(matrix: BinaryMatrix):
         )
 
 
+def _check_limit(limit):
+    if limit is not None and limit < 0:
+        raise PreconditionError(f"limit must be nonnegative, got {limit}")
+
+
 def plane_permutation_code(matrix: BinaryMatrix, limit: int | None = None) -> Code:
     """Enumerate permutation matrices dominated by an S-free square matrix.
 
@@ -72,6 +77,7 @@ def plane_permutation_code(matrix: BinaryMatrix, limit: int | None = None) -> Co
     enumeration, whose size equals the permanent.  Output is reverse-free.
     """
     _check_matching_host(matrix)
+    _check_limit(limit)
     n = matrix.rows
     row_bits = matrix.row_masks()
     words: list[tuple] = []
@@ -90,7 +96,7 @@ def plane_permutation_code(matrix: BinaryMatrix, limit: int | None = None) -> Co
                 return True
         return False
 
-    if limit is None or limit > 0:
+    if limit != 0:
         rec(0, 0)
     return Code(n=n, k=n, repetition_free=True, words=tuple(words))
 
@@ -231,18 +237,12 @@ def lift_code(code: Code, n: int, limit: int | None = None) -> Code:
     k = code.k
     if n < k:
         raise PreconditionError(f"target alphabet {n} smaller than word length {k}")
+    _check_limit(limit)
     classes = residue_classes(n, k)
-    words: list[tuple] = []
-    done = False
-    for pi in code.words:
-        if done:
-            break
-        for lifted in product(*(classes[c % k] for c in pi)):
-            words.append(lifted)
-            if limit is not None and len(words) >= limit:
-                done = True
-                break
-    return Code(n=n, k=k, repetition_free=True, words=tuple(words))
+    lifted = chain.from_iterable(
+        product(*(classes[c % k] for c in pi)) for pi in code.words
+    )
+    return Code(n=n, k=k, repetition_free=True, words=tuple(islice(lifted, limit)))
 
 
 def lift_size(code: Code, n: int) -> int:

@@ -15,10 +15,8 @@ import sys
 from dataclasses import dataclass
 from itertools import permutations, product
 
-import numpy as np
-
 from .errors import CapacityError, PreconditionError
-from .words import Code, _letter_positions, _pair_has_reverse
+from .words import Code, reverses_after
 
 VERTEX_LIMIT = 10_000
 ORACLE_VERTEX_LIMIT = 20
@@ -67,15 +65,11 @@ def build_conflict_graph(n: int, k: int, repetition_free: bool) -> ConflictGraph
     else:
         words = tuple(product(range(n), repeat=k))
     nv = len(words)
-    posmaps = [_letter_positions(w) for w in words]
     adj = [0] * nv
     for a in range(nv):
-        wa = words[a]
-        pos_a = posmaps[a]
-        for b in range(a + 1, nv):
-            if _pair_has_reverse(wa, words[b], pos_a):
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
+        for b, _ in reverses_after(words, a, n):
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
     return ConflictGraph(
         n=n, k=k, repetition_free=repetition_free, words=words, adj=tuple(adj)
     )
@@ -186,9 +180,10 @@ def naive_subset_oracle(graph: ConflictGraph, mode: str) -> int:
     """Exact optimum by enumerating all 2^V vertex subsets.
 
     ``mode`` is ``"independent"`` (no edge inside the subset) or
-    ``"clique"`` (every pair inside the subset adjacent).  Vectorized over
-    the full subset range, but still a plain exhaustive check, independent
-    of the branch-and-bound solver.
+    ``"clique"`` (every pair inside the subset adjacent).  A plain
+    exhaustive pass, independent of the branch-and-bound solver: a subset
+    is valid when the subset without its lowest vertex v is valid and v has
+    no forbidden partner in it.
     """
     if mode not in ("independent", "clique"):
         raise PreconditionError(f"unknown oracle mode {mode!r}")
@@ -197,19 +192,17 @@ def naive_subset_oracle(graph: ConflictGraph, mode: str) -> int:
         raise CapacityError(
             f"{nv} vertices exceed the oracle limit {ORACLE_VERTEX_LIMIT}"
         )
-    if nv == 0:
-        return 0
-    total = 1 << nv
-    masks = np.arange(total, dtype=np.int64)
-    valid = np.ones(total, dtype=bool)
-    for u in range(nv):
-        for v in range(u + 1, nv):
-            edge = graph.has_edge(u, v)
-            forbidden = edge if mode == "independent" else not edge
-            if forbidden:
-                both = ((masks >> u) & (masks >> v) & 1).astype(bool)
-                valid &= ~both
-    sizes = np.zeros(total, dtype=np.int8)
-    for v in range(nv):
-        sizes += ((masks >> v) & 1).astype(np.int8)
-    return int(sizes[valid].max())
+    full = (1 << nv) - 1
+    if mode == "independent":
+        forbidden = graph.adj
+    else:
+        forbidden = [full & ~graph.adj[v] & ~(1 << v) for v in range(nv)]
+    # sizes[m] is |m| + 1 when the subset m is valid, else 0
+    sizes = bytearray(full + 1)
+    sizes[0] = 1
+    for m in range(1, full + 1):
+        low = m & -m
+        rest = m ^ low
+        if sizes[rest] and not forbidden[low.bit_length() - 1] & rest:
+            sizes[m] = sizes[rest] + 1
+    return max(sizes) - 1

@@ -156,9 +156,6 @@ class GF:
         p = self.p
         return _pack([(-a) % p for a in _unpack(x, self.e, p)], p)
 
-    def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
-
     def mul(self, x: int, y: int) -> int:
         if self.e == 1:
             return (x * y) % self.p

@@ -228,21 +228,23 @@ def plane_from_json_dict(data: dict) -> ProjectivePlane:
         lines = data["lines"]
     except (KeyError, TypeError) as exc:
         raise PreconditionError(f"malformed plane document: missing {exc}") from exc
-    if not isinstance(order, int) or order < 1:
+    if type(order) is not int or order < 1:
         raise PreconditionError("plane order must be a positive integer")
     pts = []
     lns = []
     try:
-        for pt in points:
+        for idx, pt in enumerate(points):
             if not (isinstance(pt, (list, tuple)) and len(pt) == 3):
-                raise PreconditionError(f"malformed point {pt!r}")
-            pts.append(tuple(int(v) for v in pt))
-        for line in lines:
+                raise PreconditionError(f"malformed point points[{idx}]: {pt!r}")
+            if not all(type(v) is int for v in pt):
+                raise PreconditionError(f"non-integer point points[{idx}]: {pt!r}")
+            pts.append(tuple(pt))
+        for idx, line in enumerate(lines):
             if not isinstance(line, (list, tuple)):
-                raise PreconditionError(f"malformed line {line!r}")
-            lns.append(tuple(sorted(int(j) for j in line)))
-    except PreconditionError:
-        raise
-    except (TypeError, ValueError) as exc:
+                raise PreconditionError(f"malformed line lines[{idx}]: {line!r}")
+            if not all(type(j) is int for j in line):
+                raise PreconditionError(f"non-integer line lines[{idx}]: {line!r}")
+            lns.append(tuple(sorted(line)))
+    except TypeError as exc:
         raise PreconditionError(f"malformed plane document: {exc}") from exc
     return ProjectivePlane(order=order, points=tuple(pts), lines=tuple(lns))

@@ -4,6 +4,12 @@ State revolves around the code's overall matrix (the OR of its word
 matrices) and three derived quantities: its weight, its density
 ``weight / (n sqrt(k))``, and its emptiness (rows with at most one 1).
 
+The state holds, for each overall 1-entry (row, column), the bitmask of
+kept input words with that letter at that position.  The masks are built
+once, in one pass over the input; a step ANDs them with the mask of the
+words it keeps, and the statistics follow from the restricted masks.  A
+``Code`` of the kept words is built only when ``state.code`` is read.
+
 A 1-entry of the overall matrix is *light* when at most |U|/n words support
 it; an *avoided pair* is two 1-entries in distinct rows and distinct
 columns that no single word realizes together.  A light step drops the
@@ -34,44 +40,68 @@ from dataclasses import dataclass
 
 from .bitmatrix import BinaryMatrix, count_s
 from .errors import InvariantError, PreconditionError
-from .words import Code, overall_matrix, verify_reverse_free
+from .words import Code, verify_reverse_free
 
 DEFAULT_DENSITY_THRESHOLD = 10.0
 
 
 class ShrinkState:
-    """A reverse-free code plus cached overall-matrix statistics."""
+    """The kept words of a reverse-free code, as bitmasks over its word
+    indices, plus the overall-matrix statistics derived from them."""
 
-    __slots__ = ("code", "overall", "weight", "density_m", "emptiness_z", "_support")
+    __slots__ = ("overall", "weight", "density_m", "emptiness_z",
+                 "_source", "_keep", "_support", "_code")
 
-    def __init__(self, code, overall, weight, density_m, emptiness_z, support):
-        self.code = code
-        self.overall = overall
-        self.weight = weight
-        self.density_m = density_m
-        self.emptiness_z = emptiness_z
-        self._support = support
+    def __init__(self, source: Code, keep: int, support: dict, code: Code | None = None):
+        """``support`` maps (row, column) to a mask over the word indices of
+        ``source``; entries with an empty mask are dropped."""
+        self._support = {entry: mask for entry, mask in support.items() if mask}
+        n, k = source.n, source.k
+        rows = [0] * k
+        for i, c in self._support:
+            rows[i] |= 1 << c
+        self.overall = BinaryMatrix(k, n, rows)
+        self.weight = self.overall.weight()
+        self.density_m = self.weight / (n * math.sqrt(k))
+        self.emptiness_z = sum(1 for r in range(k) if self.overall.row_weight(r) <= 1)
+        self._source = source
+        self._keep = keep
+        self._code = code
 
     @classmethod
     def from_code(cls, code: Code) -> "ShrinkState":
-        if code.words:
-            overall = overall_matrix(code)
-        else:
-            overall = BinaryMatrix.zeros(code.k, code.n)
-        weight = overall.weight()
-        density = weight / (code.n * math.sqrt(code.k))
-        emptiness = sum(
-            1 for r in range(code.k) if overall.row_weight(r) <= 1
-        )
-        support: dict = {}
+        m = len(code.words)
+        width = (m + 7) >> 3
+        bitmaps = [[bytearray(width) for _ in range(code.n)] for _ in range(code.k)]
         for idx, w in enumerate(code.words):
-            for i, c in enumerate(w):
-                support[(i, c)] = support.get((i, c), 0) | (1 << idx)
-        return cls(code, overall, weight, density, emptiness, support)
+            byte = idx >> 3
+            bit = 1 << (idx & 7)
+            for row, c in zip(bitmaps, w):
+                row[c][byte] |= bit
+        support = {
+            (i, c): int.from_bytes(bitmap, "little")
+            for i, row in enumerate(bitmaps)
+            for c, bitmap in enumerate(row)
+        }
+        return cls(code, (1 << m) - 1, support, code)
+
+    def restrict(self, keep: int) -> "ShrinkState":
+        """The state of the words whose index bit is set in ``keep``."""
+        support = {entry: mask & keep for entry, mask in self._support.items()}
+        return ShrinkState(self._source, self._keep & keep, support)
+
+    @property
+    def code(self) -> Code:
+        if self._code is None:
+            src = self._source
+            kept = format(self._keep, "b")[::-1]
+            words = tuple(w for w, bit in zip(src.words, kept) if bit == "1")
+            self._code = Code(src.n, src.k, src.repetition_free, words)
+        return self._code
 
     @property
     def size(self) -> int:
-        return len(self.code.words)
+        return self._keep.bit_count()
 
     def support_mask(self, entry) -> int:
         return self._support.get(entry, 0)
@@ -82,9 +112,9 @@ class ShrinkState:
 
 def light_entries(state: ShrinkState):
     """Overall 1-entries supported by at most |U|/n words, sorted."""
-    if not state.code.words:
+    if not state.size:
         raise PreconditionError("light entries of an empty code are undefined")
-    n = state.code.n
+    n = state.overall.cols
     size = state.size
     return sorted(
         entry for entry, mask in state._support.items() if mask.bit_count() * n <= size
@@ -94,7 +124,7 @@ def light_entries(state: ShrinkState):
 def avoided_pairs(state: ShrinkState):
     """Pairs of overall 1-entries, distinct rows and columns, that never
     co-occur inside a single word; sorted, each pair ordered ascending."""
-    if not state.code.words:
+    if not state.size:
         raise PreconditionError("avoided pairs of an empty code are undefined")
     entries = sorted(state._support)
     support = state._support
@@ -126,22 +156,12 @@ def heavy_step(state: ShrinkState) -> ShrinkState:
     return _apply_heavy(state, pairs, had_light)[0]
 
 
-def _restrict(code: Code, keep_mask: int) -> Code:
-    kept = tuple(
-        w for idx, w in enumerate(code.words) if (keep_mask >> idx) & 1
-    )
-    return Code(n=code.n, k=code.k, repetition_free=code.repetition_free, words=kept)
-
-
 def _apply_light(state: ShrinkState, lights):
     if not lights:
         raise PreconditionError("no light entry")
     entry = lights[0]
-    n = state.code.n
-    all_words = (1 << state.size) - 1
-    new_state = ShrinkState.from_code(
-        _restrict(state.code, all_words & ~state.support_mask(entry))
-    )
+    n = state.overall.cols
+    new_state = state.restrict(~state.support_mask(entry))
     if new_state.size * n < (n - 1) * state.size:
         raise InvariantError(
             f"light step kept {new_state.size} of {state.size} words, below (1-1/n)"
@@ -173,8 +193,8 @@ def _apply_heavy(state: ShrinkState, pairs, had_light):
     best_count = max(counts.values())
     entry = min(e for e, cnt in counts.items() if cnt == best_count)
 
-    n = state.code.n
-    k = state.code.k
+    n = state.overall.cols
+    k = state.overall.rows
     m = state.density_m
     premise_ok = False
     if not had_light and m >= 5.0:
@@ -192,9 +212,7 @@ def _apply_heavy(state: ShrinkState, pairs, had_light):
     partners = [
         e2 if e1 == entry else e1 for e1, e2 in pairs if entry in (e1, e2)
     ]
-    new_state = ShrinkState.from_code(
-        _restrict(state.code, state.support_mask(entry))
-    )
+    new_state = state.restrict(state.support_mask(entry))
     for r2, c2 in partners:
         if new_state.overall.get(r2, c2):
             raise InvariantError(f"avoided partner {(r2, c2)} survived the heavy step")

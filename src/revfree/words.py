@@ -5,6 +5,11 @@ w_i != w_j, w_i = x_j and w_j = x_i: the same two distinct letters sit on
 the same two positions in swapped order.  A code is *reverse-free* when no
 pair of its words has a reverse, and *full of flips* when every pair does.
 
+One kernel, ``reverses_after``, holds the reverse test: it scans one word
+against the run of later words.  ``find_reverse``, the pairwise and
+full-of-flips verifiers and the exact solver's conflict graph all go through
+it; the signature verifier is the independent second route.
+
 Letters are 0-based internally (0..n-1) and 1-based in JSON, matching the
 usual 1..n presentation at the boundary.
 """
@@ -68,43 +73,44 @@ def validate_word(letters, n: int, k: int | None = None, repetition_free: bool =
 # -- the reverse relation -----------------------------------------------------
 
 
-def _letter_positions(word):
-    """Map letter -> ascending list of positions holding it."""
-    pos = {}
-    for i, c in enumerate(word):
-        pos.setdefault(c, []).append(i)
-    return pos
+def reverses_after(words, a: int, n: int):
+    """Yield ``(b, (i, j))``, b ascending, for each b > a at which words[a]
+    and words[b] have a reverse, with the smallest such (i, j), i < j.
+
+    Letters lie in 0..n-1.  Expected O(k) per later word: for each position
+    i with w_i != x_i, the candidate partners are the positions of x_i in w.
+    The first hit has j > i, because a reverse at (j, i) is found earlier.
+    """
+    w = words[a]
+    positions = [()] * n
+    for i, c in enumerate(w):
+        positions[c] += (i,)
+    letters = list(enumerate(w))
+    for b in range(a + 1, len(words)):
+        x = words[b]
+        for i, wi in letters:
+            xi = x[i]
+            if wi != xi:
+                # w_j = x_i for every candidate j, and w_i != w_j since w_i != x_i
+                for j in positions[xi]:
+                    if x[j] == wi:
+                        break
+                else:
+                    continue
+                yield b, (i, j)
+                break
 
 
 def find_reverse(w, x):
     """Smallest (i, j), i < j, at which w and x have a reverse, else None.
 
-    Expected O(k): for each position i with w_i != x_i, the candidate
-    partners are the positions of x_i inside w.
-    """
+    Letters are nonnegative integers."""
     if len(w) != len(x):
         raise PreconditionError(f"length mismatch: {len(w)} vs {len(x)}")
-    pos_w = _letter_positions(w)
-    for i, (wi, xi) in enumerate(zip(w, x)):
-        if wi == xi:
-            # a reverse at (i, j) would force w_i = w_j, contradiction
-            continue
-        for j in pos_w.get(xi, ()):
-            # w_j = x_i by construction; w_i != w_j since w_i != x_i
-            if j > i and x[j] == wi:
-                return (i, j)
+    n = max((*w, *x), default=-1) + 1
+    for _, ij in reverses_after((w, x), 0, n):
+        return ij
     return None
-
-
-def _pair_has_reverse(w, x, pos_w):
-    """Boolean reverse test given w's precomputed letter positions."""
-    for i, (wi, xi) in enumerate(zip(w, x)):
-        if wi == xi:
-            continue
-        for j in pos_w.get(xi, ()):
-            if x[j] == wi:
-                return True
-    return False
 
 
 # -- code-level verification --------------------------------------------------
@@ -129,34 +135,9 @@ def verify_reverse_free(code: Code, method: str = "pairwise"):
 
 def _reverse_free_pairwise(code: Code):
     words = code.words
-    if code.repetition_free:
-        # dense inverse arrays: inv[letter] = position or -1
-        invs = []
-        for w in words:
-            inv = [-1] * code.n
-            for i, c in enumerate(w):
-                inv[c] = i
-            invs.append(inv)
-        krange = range(code.k)
-        for a in range(len(words)):
-            wa = words[a]
-            inv_a = invs[a]
-            for b in range(a + 1, len(words)):
-                wb = words[b]
-                for i in krange:
-                    la = wa[i]
-                    lb = wb[i]
-                    if la == lb:
-                        continue
-                    j = inv_a[lb]
-                    if j >= 0 and wb[j] == la:
-                        return False, (a, b, *find_reverse(wa, wb))
-        return True, None
-    posmaps = [_letter_positions(w) for w in words]
     for a in range(len(words)):
-        for b in range(a + 1, len(words)):
-            if _pair_has_reverse(words[a], words[b], posmaps[a]):
-                return False, (a, b, *find_reverse(words[a], words[b]))
+        for b, (i, j) in reverses_after(words, a, code.n):
+            return False, (a, b, i, j)
     return True, None
 
 
@@ -186,11 +167,14 @@ def verify_full_of_flips(code: Code):
     reverse-free pair in code order.
     """
     words = code.words
-    posmaps = [_letter_positions(w) for w in words]
     for a in range(len(words)):
-        for b in range(a + 1, len(words)):
-            if not _pair_has_reverse(words[a], words[b], posmaps[a]):
-                return False, (a, b)
+        expected = a + 1
+        for b, _ in reverses_after(words, a, code.n):
+            if b != expected:
+                break
+            expected += 1
+        if expected < len(words):
+            return False, (a, expected)
     return True, None
 
 
@@ -248,16 +232,17 @@ def code_from_json_dict(data: dict) -> Code:
         words = data["words"]
     except (KeyError, TypeError) as exc:
         raise PreconditionError(f"malformed code document: missing {exc}") from exc
-    if not (isinstance(n, int) and isinstance(k, int) and isinstance(repetition_free, bool)):
+    if not (type(n) is int and type(k) is int and isinstance(repetition_free, bool)):
         raise PreconditionError("code n/k must be integers and repetition_free a bool")
+    if not isinstance(words, (list, tuple)):
+        raise PreconditionError("code words must be a list")
     converted = []
-    try:
-        for w in words:
-            if not isinstance(w, (list, tuple)):
-                raise PreconditionError(f"malformed word {w!r}")
-            converted.append(tuple(int(c) - 1 for c in w))
-    except PreconditionError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise PreconditionError(f"malformed code document: {exc}") from exc
+    for a, w in enumerate(words):
+        if not isinstance(w, (list, tuple)):
+            raise PreconditionError(f"malformed word words[{a}]: {w!r}")
+        word = tuple(c - 1 for c in w if type(c) is int)
+        if len(word) != len(w):
+            i = next(i for i, c in enumerate(w) if type(c) is not int)
+            raise PreconditionError(f"letter words[{a}][{i}] = {w[i]!r} is not an integer")
+        converted.append(word)
     return Code(n=n, k=k, repetition_free=repetition_free, words=tuple(converted))

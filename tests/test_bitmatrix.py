@@ -83,6 +83,19 @@ class TestConstruction:
         with pytest.raises(PreconditionError):
             BinaryMatrix.from_json_dict({"rows": 2, "cols": 2, "ones": [[3, 1]]})
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"rows": True, "cols": 2, "ones": []},
+            {"rows": 2, "cols": True, "ones": []},
+            {"rows": 2, "cols": 2, "ones": [[True, 1]]},
+            {"rows": 2, "cols": 2, "ones": [[1, 2], [2, True]]},
+        ],
+    )
+    def test_json_rejects_bools(self, doc):
+        with pytest.raises(PreconditionError, match=r"rows/cols|ones\[\d\]"):
+            BinaryMatrix.from_json_dict(doc)
+
 
 class TestContains:
     def test_equality_case(self):

@@ -144,6 +144,21 @@ class TestConstructCommands:
         assert code == 2
         assert "permutation" in err
 
+    def test_limit_zero_and_negative(self, capsys, tmp_path):
+        code_path = tmp_path / "code.json"
+        write_code(code_path, 2, 2, [[1, 2]])
+        commands = (
+            ("construct", "plane-code", "--q", "2"),
+            ("construct", "lift", "--in", str(code_path), "--n", "4"),
+        )
+        for argv in commands:
+            code, out, _ = run_cli(capsys, *argv, "--limit", "0")
+            assert code == 0
+            assert json.loads(out)["words"] == []
+            code, _, err = run_cli(capsys, *argv, "--limit", "-1")
+            assert code == 2
+            assert "limit" in err
+
 
 class TestVerifyCommands:
     def test_reverse_free_failure_prints_witness(self, capsys, tmp_path):
@@ -305,6 +320,13 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "verify", "reverse-free", "--in", "/no/such.json")
         assert code == 2
 
+    def test_non_integer_letter(self, capsys, tmp_path):
+        code_path = tmp_path / "code.json"
+        write_code(code_path, 3, 2, [[1, 2], [2, 1.9]])
+        code, _, err = run_cli(capsys, "verify", "reverse-free", "--in", str(code_path))
+        assert code == 2
+        assert "words[1][1]" in err
+
 
 def test_module_entry_point(tmp_path):
     result = subprocess.run(
@@ -314,3 +336,13 @@ def test_module_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["order"] == 2
+
+
+def test_cli_import_leaves_numpy_out():
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, revfree.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0
+    assert result.stdout.strip() == "False"

@@ -66,6 +66,11 @@ class TestPlanePermutationCode:
         assert prefix.words == fano_code24.words[:5]
         assert verify_reverse_free(prefix, "pairwise") == (True, None)
 
+    def test_limit_zero_and_negative(self, fano_incidence):
+        assert plane_permutation_code(fano_incidence, limit=0).words == ()
+        with pytest.raises(PreconditionError):
+            plane_permutation_code(fano_incidence, limit=-1)
+
     def test_q3_count_matches_permanent(self):
         inc = incidence_matrix(plane_build(field_make(3, 1)))
         code = plane_permutation_code(inc)
@@ -183,6 +188,12 @@ class TestLifting:
         full = lift_code(code, 7)
         partial = lift_code(code, 7, limit=5)
         assert partial.words == full.words[:5]
+
+    def test_limit_zero_and_negative(self):
+        code = cyclic_shift_code(3)
+        assert lift_code(code, 7, limit=0).words == ()
+        with pytest.raises(PreconditionError):
+            lift_code(code, 7, limit=-1)
 
     def test_size_formula(self):
         code = cyclic_shift_code(3)

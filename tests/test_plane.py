@@ -125,3 +125,27 @@ def test_json_rejects_garbage():
         plane_from_json_dict({"order": 2, "points": [[1, 0]], "lines": []})
     with pytest.raises(PreconditionError):
         plane_from_json_dict({"points": [], "lines": []})
+
+
+@pytest.mark.parametrize(
+    "where, value, location",
+    [
+        ("points", 1.0, "points[3]"),
+        ("points", True, "points[3]"),
+        ("lines", 2.9, "lines[3]"),
+        ("lines", False, "lines[3]"),
+    ],
+)
+def test_json_rejects_non_integers(where, value, location):
+    doc = plane_to_json_dict(build_order(2))
+    doc[where][3][0] = value
+    with pytest.raises(PreconditionError) as info:
+        plane_from_json_dict(doc)
+    assert location in str(info.value)
+
+
+def test_json_rejects_bool_order():
+    doc = plane_to_json_dict(build_order(2))
+    doc["order"] = True
+    with pytest.raises(PreconditionError):
+        plane_from_json_dict(doc)

@@ -1,0 +1,140 @@
+"""Property tests: the reverse kernel against the definition, verifier
+agreement, and the incremental shrink state against a full rebuild."""
+
+from itertools import combinations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from revfree import (
+    Code,
+    ShrinkState,
+    avoided_pairs,
+    heavy_step,
+    light_entries,
+    light_step,
+    run_shrink,
+    verify_full_of_flips,
+    verify_reverse_free,
+)
+from revfree.words import find_reverse, reverses_after
+
+PROPERTY_SETTINGS = settings(max_examples=200, deadline=None)
+
+
+def naive_reverse(w, x):
+    """Smallest (i, j), i < j, with w_i != w_j, w_i = x_j, w_j = x_i."""
+    for i, j in combinations(range(len(w)), 2):
+        if w[i] != w[j] and w[i] == x[j] and w[j] == x[i]:
+            return (i, j)
+    return None
+
+
+@st.composite
+def word_lists(draw, min_size=1, max_size=8):
+    """(n, k, repetition_free, distinct words) over 0..n-1."""
+    repetition_free = draw(st.booleans())
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, n if repetition_free else 6))
+    if repetition_free:
+        word = st.permutations(range(n)).map(lambda p: tuple(p[:k]))
+    else:
+        word = st.tuples(*[st.integers(0, n - 1)] * k)
+    words = draw(st.lists(word, min_size=min_size, max_size=max_size, unique=True))
+    return n, k, repetition_free, words
+
+
+@PROPERTY_SETTINGS
+@given(word_lists(min_size=1, max_size=8), st.data())
+def test_kernel_matches_definition(spec, data):
+    n, _, _, words = spec
+    a = data.draw(st.integers(0, len(words) - 1))
+    expected = [
+        (b, naive_reverse(words[a], words[b]))
+        for b in range(a + 1, len(words))
+        if naive_reverse(words[a], words[b]) is not None
+    ]
+    assert list(reverses_after(words, a, n)) == expected
+    for b in range(len(words)):
+        assert find_reverse(words[a], words[b]) == naive_reverse(words[a], words[b])
+
+
+@PROPERTY_SETTINGS
+@given(word_lists(min_size=0, max_size=10))
+def test_verifier_verdicts_agree(spec):
+    n, k, repetition_free, words = spec
+    code = Code(n=n, k=k, repetition_free=repetition_free, words=tuple(words))
+    pairs = list(combinations(range(len(words)), 2))
+    reversed_pairs = [(a, b) for a, b in pairs if naive_reverse(words[a], words[b])]
+    plain_pairs = [(a, b) for a, b in pairs if not naive_reverse(words[a], words[b])]
+
+    ok_pair, wit_pair = verify_reverse_free(code, "pairwise")
+    ok_sig, wit_sig = verify_reverse_free(code, "signature")
+    assert ok_pair == ok_sig == (not reversed_pairs)
+    if reversed_pairs:
+        a, b = reversed_pairs[0]
+        assert wit_pair == (a, b, *naive_reverse(words[a], words[b]))
+        a, b, i, j = wit_sig
+        assert naive_reverse(words[a], words[b]) is not None
+        assert words[a][i] == words[b][j] != words[a][j] == words[b][i]
+
+    ok_flips, wit_flips = verify_full_of_flips(code)
+    assert ok_flips == (not plain_pairs)
+    assert wit_flips == (plain_pairs[0] if plain_pairs else None)
+
+
+def compress(mask, keep):
+    """``mask`` re-indexed onto the set bits of ``keep``, in order."""
+    kept = [idx for idx, bit in enumerate(reversed(format(keep, "b"))) if bit == "1"]
+    return sum(1 << r for r, idx in enumerate(kept) if (mask >> idx) & 1)
+
+
+def assert_matches_rebuild(state):
+    rebuilt = ShrinkState.from_code(state.code)
+    assert rebuilt.size == state.size == len(state.code.words)
+    assert rebuilt.overall == state.overall
+    assert rebuilt.weight == state.weight
+    assert rebuilt.density_m == state.density_m
+    assert rebuilt.emptiness_z == state.emptiness_z
+    assert set(rebuilt._support) == set(state._support)
+    for entry, mask in state._support.items():
+        assert compress(mask, state._keep) == rebuilt.support_mask(entry)
+
+
+def shrink_states(code):
+    """Every state of a threshold-0 shrink run, light steps first."""
+    state = ShrinkState.from_code(code)
+    states = [state]
+    while state.size:
+        if light_entries(state):
+            state = light_step(state)
+        elif avoided_pairs(state):
+            state = heavy_step(state)
+        else:
+            break
+        states.append(state)
+    return states
+
+
+def test_restrict_matches_rebuild_on_lifted_fano(lifted_fano_code):
+    states = shrink_states(lifted_fano_code)
+    trace = run_shrink(lifted_fano_code, density_threshold=0.0)
+    assert [s.size for s in states] == [trace.initial_size] + [
+        step.size_after for step in trace.steps
+    ]
+    assert len(states) > 1
+    for state in states:
+        assert_matches_rebuild(state)
+
+
+@PROPERTY_SETTINGS
+@given(word_lists(min_size=1, max_size=12))
+def test_restrict_matches_rebuild_on_random_codes(spec):
+    n, k, repetition_free, words = spec
+    code_words = []
+    for w in words:
+        if all(naive_reverse(w, x) is None for x in code_words):
+            code_words.append(w)
+    code = Code(n=n, k=k, repetition_free=repetition_free, words=tuple(code_words))
+    for state in shrink_states(code):
+        assert_matches_rebuild(state)

@@ -64,6 +64,25 @@ class TestCode:
         assert doc["words"] == [[1, 2], [3, 1]]
         assert code_from_json_dict(doc) == code
 
+    @pytest.mark.parametrize(
+        "field, value, location",
+        [
+            ("letter", 1.9, "words[1][0]"),
+            ("letter", True, "words[1][0]"),
+            ("n", True, "n/k"),
+            ("k", 2.0, "n/k"),
+        ],
+    )
+    def test_json_rejects_non_integers(self, field, value, location):
+        doc = code_to_json_dict(make_code(3, 2, [(0, 1), (2, 0)]))
+        if field == "letter":
+            doc["words"][1][0] = value
+        else:
+            doc[field] = value
+        with pytest.raises(PreconditionError) as info:
+            code_from_json_dict(doc)
+        assert location in str(info.value)
+
 
 class TestFindReverse:
     def test_direct_swap(self):
