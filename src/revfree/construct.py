@@ -82,22 +82,28 @@ def plane_permutation_code(matrix: BinaryMatrix, limit: int | None = None) -> Co
     row_bits = matrix.row_masks()
     words: list[tuple] = []
     word = [0] * n
-
-    def rec(r: int, used: int) -> bool:
-        if r == n:
+    # cand[r] holds row r's untried columns; rows above r are placed in word
+    # and marked in used, and the last row's choice is never marked
+    cand = [row_bits[0]] + [0] * (n - 1)
+    used = 0
+    r = 0 if limit != 0 else -1
+    while r >= 0:
+        if not cand[r]:
+            r -= 1
+            if r >= 0:
+                used ^= 1 << word[r]
+            continue
+        low = cand[r] & -cand[r]
+        cand[r] ^= low
+        word[r] = low.bit_length() - 1
+        if r == n - 1:
             words.append(tuple(word))
-            return limit is not None and len(words) >= limit
-        cand = row_bits[r] & ~used
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            word[r] = low.bit_length() - 1
-            if rec(r + 1, used | low):
-                return True
-        return False
-
-    if limit != 0:
-        rec(0, 0)
+            if limit is not None and len(words) >= limit:
+                break
+        else:
+            used |= low
+            r += 1
+            cand[r] = row_bits[r] & ~used
     return Code(n=n, k=n, repetition_free=True, words=tuple(words))
 
 
@@ -163,30 +169,40 @@ def sample_plane_permutations(
 
 
 def _augmenting_matching(candidates, n, order):
-    """One perfect matching via augmenting paths (rows in the given order)."""
+    """One perfect matching via augmenting paths (rows in the given order).
+
+    Depth-first search from each row for a free column, with an explicit
+    stack: ``rows[t]`` tries its candidates in order, and ``cols[t]`` is the
+    column it took, owned by ``rows[t + 1]``.  Columns once visited stay
+    visited for the rest of that row's search.
+    """
     col_owner = [-1] * n
     row_choice = [-1] * n
-
-    def augment(r, visited):
-        for c in candidates[r]:
-            if not (visited >> c) & 1:
-                visited |= 1 << c
-                owner = col_owner[c]
-                if owner < 0:
-                    col_owner[c] = r
-                    row_choice[r] = c
-                    return visited, True
-                visited, ok = augment(owner, visited)
-                if ok:
-                    col_owner[c] = r
-                    row_choice[r] = c
-                    return visited, True
-        return visited, False
-
-    for r in order:
-        _, ok = augment(r, 0)
-        if not ok:
+    for root in order:
+        visited = 0
+        rows, tries, cols = [root], [iter(candidates[root])], []
+        while rows:
+            for c in tries[-1]:
+                if not (visited >> c) & 1:
+                    break
+            else:
+                rows.pop()
+                tries.pop()
+                if cols:
+                    cols.pop()
+                continue
+            visited |= 1 << c
+            cols.append(c)
+            owner = col_owner[c]
+            if owner < 0:
+                break
+            rows.append(owner)
+            tries.append(iter(candidates[owner]))
+        if not rows:
             return None
+        for r, c in zip(rows, cols):
+            col_owner[c] = r
+            row_choice[r] = c
     return tuple(row_choice)
 
 

@@ -139,7 +139,10 @@ def max_clique_vertices(adj, nv: int):
             stack.pop()
             cand &= ~(1 << v)
 
-    expand((1 << nv) - 1)
+    try:
+        expand((1 << nv) - 1)
+    finally:
+        sys.setrecursionlimit(limit)
     return sorted(order[i] for i in best)
 
 

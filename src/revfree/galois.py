@@ -1,21 +1,21 @@
 """Finite field arithmetic GF(p^e) for small prime powers.
 
-Field elements are integers 0..q-1.  For e > 1 an element packs the
-coefficients of a polynomial over GF(p) in base p: the value
-``c0 + c1*p + ... + c_{e-1}*p^{e-1}`` stands for the residue class of
-``c0 + c1*t + ... + c_{e-1}*t^{e-1}`` modulo the field's irreducible
-modulus.  Extension degrees are capped at 4, enough for every desk-scale
-plane order, and small enough that irreducibility is checked by exhaustive
-factor search.
+Field elements are integers 0..q-1, each packing the coefficients of a
+polynomial over GF(p) in base p: ``c0 + c1*p + ... + c_{e-1}*p^{e-1}`` stands
+for ``c0 + c1*t + ... + c_{e-1}*t^{e-1}`` modulo the field's monic irreducible
+modulus (t itself for GF(p)).  Extension degrees are capped at 4, so
+irreducibility is checked by exhaustive factor search.  These polynomial
+routines build the tables of :class:`GF`, whose operations are lookups.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import PreconditionError
+from .errors import CapacityError, PreconditionError
 
 MAX_EXTENSION_DEGREE = 4
+MAX_FIELD_ORDER = 1024
 
 
 def is_prime(n: int) -> bool:
@@ -124,50 +124,49 @@ def _is_irreducible(coeffs, p) -> bool:
 
 
 class GF:
-    """Arithmetic in GF(p^e) on packed-integer elements."""
+    """Arithmetic in GF(p^e) by lookup in q x q addition and multiplication
+    tables, built once from the polynomial routines; GF(p) is the degree-1
+    case, reduced modulo t.  Orders above ``MAX_FIELD_ORDER`` raise
+    ``CapacityError``, since the tables hold 2q^2 entries.
+    """
 
     def __init__(self, spec: FieldSpec):
-        if spec.e > 1:
-            if spec.modulus is None or len(spec.modulus) != spec.e + 1:
-                raise PreconditionError("extension field needs a degree-e modulus")
-            if spec.modulus[-1] != 1:
-                raise PreconditionError("modulus must be monic")
-            if not _is_irreducible(spec.modulus, spec.p):
-                raise PreconditionError("modulus is reducible")
-        self.spec = spec
-        self.p = spec.p
-        self.e = spec.e
-        self.q = spec.order
+        p, e, q = spec.p, spec.e, spec.order
+        if q > MAX_FIELD_ORDER:
+            raise CapacityError(f"field order {q} is over the limit {MAX_FIELD_ORDER}")
+        modulus = spec.modulus if e > 1 else (0, 1)
+        if modulus is None or len(modulus) != e + 1:
+            raise PreconditionError("extension field needs a degree-e modulus")
+        if modulus[-1] != 1:
+            raise PreconditionError("modulus must be monic")
+        if not _is_irreducible(modulus, p):
+            raise PreconditionError("modulus is reducible")
+        self.spec, self.p, self.e, self.q = spec, p, e, q
+        polys = [_unpack(x, e, p) for x in range(q)]
+        self._add = [[_pack([(a + b) % p for a, b in zip(xs, ys)], p) for ys in polys]
+                     for xs in polys]
+        self._mul = []
+        for xs in polys:
+            row = []
+            for ys in polys:
+                prod = [0] * (2 * e - 1)
+                for i, a in enumerate(xs):
+                    for j, b in enumerate(ys):
+                        prod[i + j] += a * b
+                row.append(_pack(_poly_mod(prod, modulus, p), p))
+            self._mul.append(row)
 
     def elements(self):
         return range(self.q)
 
     def add(self, x: int, y: int) -> int:
-        if self.e == 1:
-            return (x + y) % self.p
-        p = self.p
-        xs = _unpack(x, self.e, p)
-        ys = _unpack(y, self.e, p)
-        return _pack([(a + b) % p for a, b in zip(xs, ys)], p)
+        return self._add[x][y]
 
     def neg(self, x: int) -> int:
-        if self.e == 1:
-            return (-x) % self.p
-        p = self.p
-        return _pack([(-a) % p for a in _unpack(x, self.e, p)], p)
+        return self._add[x].index(0)
 
     def mul(self, x: int, y: int) -> int:
-        if self.e == 1:
-            return (x * y) % self.p
-        p = self.p
-        xs = _unpack(x, self.e, p)
-        ys = _unpack(y, self.e, p)
-        prod = [0] * (2 * self.e - 1)
-        for i, a in enumerate(xs):
-            if a:
-                for j, b in enumerate(ys):
-                    prod[i + j] = (prod[i + j] + a * b) % p
-        return _pack(_poly_mod(prod, self.spec.modulus, p), p)
+        return self._mul[x][y]
 
     def pow(self, x: int, exp: int) -> int:
         result = 1
@@ -182,10 +181,9 @@ class GF:
     def inv(self, x: int) -> int:
         if x == 0:
             raise ZeroDivisionError("0 has no inverse")
-        return self.pow(x, self.q - 2)
+        return self._mul[x].index(1)
 
     def dot3(self, u, v) -> int:
         """Dot product of coordinate triples."""
-        acc = self.mul(u[0], v[0])
-        acc = self.add(acc, self.mul(u[1], v[1]))
-        return self.add(acc, self.mul(u[2], v[2]))
+        add, mul = self._add, self._mul
+        return add[add[mul[u[0]][v[0]]][mul[u[1]][v[1]]]][mul[u[2]][v[2]]]

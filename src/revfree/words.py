@@ -121,10 +121,12 @@ def verify_reverse_free(code: Code, method: str = "pairwise"):
 
     ``method`` selects one of two independent algorithms that must agree:
     ``"pairwise"`` scans all word pairs with the reverse test (O(M^2 k));
-    ``"signature"`` hashes every word's ordered position-pair signatures and
-    looks for a swapped collision (O(M k^2)).  Returns ``(True, None)`` or
-    ``(False, (a, b, i, j))`` with word indices a < b and positions i < j;
-    the two methods agree on the verdict but may report different witnesses.
+    ``"signature"`` hashes the words' letter pairs at each position pair on
+    its own and looks for a swapped collision (O(M k^2)).  Returns
+    ``(True, None)`` or ``(False, (a, b, i, j))`` with word indices a < b
+    and positions i < j; the two methods agree on the verdict but may
+    report different witnesses.  The signature witness has the smallest b,
+    then the smallest (i, j), then the smallest a.
     """
     if method == "pairwise":
         return _reverse_free_pairwise(code)
@@ -142,22 +144,29 @@ def _reverse_free_pairwise(code: Code):
 
 
 def _reverse_free_signatures(code: Code):
-    # signature (i, j, w_i, w_j) for i < j, w_i != w_j; a reverse between two
-    # words is exactly a collision between (i, j, a, b) and (i, j, b, a).
-    seen: dict = {}
-    k = code.k
-    for idx, w in enumerate(code.words):
-        for i in range(k):
-            wi = w[i]
-            for j in range(i + 1, k):
-                wj = w[j]
-                if wi == wj:
-                    continue
-                other = seen.get((i, j, wj, wi))
-                if other is not None:
-                    return False, (other, idx, i, j)
-                seen.setdefault((i, j, wi, wj), idx)
-    return True, None
+    # Words a, b have a reverse at (i, j) exactly when their letter pairs
+    # there are swapped copies of an off-diagonal pair, so each position pair
+    # is checked alone on its two columns; an ordered pass over the columns
+    # recovers the first later word b and its first earlier partner a.
+    columns = list(zip(*code.words))
+    witnesses = []
+    for i, ci in enumerate(columns):
+        for j in range(i + 1, len(columns)):
+            cj = columns[j]
+            if not any(x != y for x, y in set(zip(ci, cj)).intersection(zip(cj, ci))):
+                continue
+            first: dict = {}
+            for b, (x, y) in enumerate(zip(ci, cj)):
+                if x != y:
+                    a = first.get((y, x))
+                    if a is not None:
+                        witnesses.append((b, i, j, a))
+                        break
+                    first.setdefault((x, y), b)
+    if not witnesses:
+        return True, None
+    b, i, j, a = min(witnesses)
+    return False, (a, b, i, j)
 
 
 def verify_full_of_flips(code: Code):

@@ -61,6 +61,12 @@ class TestPlaneCommands:
         failed = [c["axiom"] for c in report["checks"] if not c["ok"]]
         assert "P3" in failed
 
+    def test_build_refuses_field_over_order_guard(self, capsys):
+        code, out, err = run_cli(capsys, "plane", "build", "--q", "1031")
+        assert code == 2
+        assert out == ""
+        assert "1024" in err
+
     def test_malformed_json_reports_location(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"order": 2,', encoding="utf-8")
@@ -346,3 +352,22 @@ def test_cli_import_leaves_numpy_out():
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--q", "31", "--limit", "1"], ["--q", "37", "--sample", "1"]],
+    ids=["enumerate-side-993", "sample-side-1407"],
+)
+def test_plane_code_deeper_than_default_recursion_limit(argv):
+    # a fresh interpreter keeps the default recursion limit of 1000, which a
+    # recursive search over a side-993 or side-1407 matrix would exceed
+    result = subprocess.run(
+        [sys.executable, "-m", "revfree", "construct", "plane-code", *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    doc = json.loads(result.stdout)
+    assert len(doc["words"]) == 1
+    assert sorted(doc["words"][0]) == list(range(1, doc["n"] + 1))

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import permutations
 
 import pytest
 
@@ -8,6 +9,7 @@ from revfree import (
     Code,
     PreconditionError,
     bound_table,
+    factor_prime_power,
     field_make,
     incidence_matrix,
     largest_plane_order,
@@ -20,7 +22,7 @@ from revfree import (
     sample_plane_permutations,
     verify_reverse_free,
 )
-from revfree.construct import BoundsReport, residue_classes, compress_word
+from revfree.construct import BoundsReport, _augmenting_matching, residue_classes, compress_word
 from revfree.words import overall_matrix
 
 
@@ -28,6 +30,52 @@ def cyclic_shift_code(k):
     """All k cyclic shifts of the identity word; reverse-free for odd k."""
     words = tuple(tuple((i + s) % k for i in range(k)) for s in range(k))
     return Code(n=k, k=k, repetition_free=True, words=words)
+
+
+def recursive_matchings(matrix, limit=None):
+    """Reference backtracking: rows ascending, candidate columns ascending."""
+    n = matrix.rows
+    words = []
+
+    def rec(prefix, used):
+        if len(prefix) == n:
+            words.append(tuple(prefix))
+            return limit is not None and len(words) >= limit
+        r = len(prefix)
+        return any(
+            rec(prefix + [c], used | 1 << c)
+            for c in range(n)
+            if matrix.get(r, c) and not (used >> c) & 1
+        )
+
+    rec([], 0)
+    return tuple(words)
+
+
+def recursive_augmenting(candidates, n, order):
+    """Reference augmenting-path matching; the visited set is threaded through
+    failed sub-searches, as in the library's loop."""
+    col_owner = [-1] * n
+    row_choice = [-1] * n
+
+    def augment(r, visited):
+        for c in candidates[r]:
+            if not (visited >> c) & 1:
+                visited |= 1 << c
+                if col_owner[c] < 0:
+                    ok = True
+                else:
+                    visited, ok = augment(col_owner[c], visited)
+                if ok:
+                    col_owner[c] = r
+                    row_choice[r] = c
+                    return visited, True
+        return visited, False
+
+    for r in order:
+        if not augment(r, 0)[1]:
+            return None
+    return tuple(row_choice)
 
 
 def _no_reverse(w, x):
@@ -85,6 +133,19 @@ class TestPlanePermutationCode:
         code = plane_permutation_code(inc)
         assert len(code) >= regular_permanent_lower_bound(inc.rows, q + 1)
 
+    def test_fano_enumeration_is_lexicographic(self, fano_incidence, fano_code24):
+        dominated = tuple(
+            p
+            for p in permutations(range(7))
+            if all(fano_incidence.get(r, c) for r, c in enumerate(p))
+        )
+        assert fano_code24.words == dominated
+
+    @pytest.mark.parametrize("q,limit", [(3, None), (4, 500), (7, 200)])
+    def test_matches_recursive_reference(self, q, limit):
+        inc = incidence_matrix(plane_build(field_make(*factor_prime_power(q))))
+        assert plane_permutation_code(inc, limit).words == recursive_matchings(inc, limit)
+
     def test_refuses_s_host(self):
         host = BinaryMatrix.all_ones(3, 3)
         with pytest.raises(PreconditionError) as info:
@@ -116,6 +177,18 @@ class TestSampling:
         assert a.code.words == b.code.words
         c = sample_plane_permutations(fano_incidence, 8, seed=14)
         assert a.code.words != c.code.words
+
+    def test_augmenting_matches_recursive_reference(self):
+        rng = random.Random(7)
+        matched = 0
+        for _ in range(2000):
+            n = rng.randint(1, 9)
+            candidates = [rng.sample(range(n), rng.randint(1, n)) for _ in range(n)]
+            order = rng.sample(range(n), n)
+            expected = recursive_augmenting(candidates, n, order)
+            assert _augmenting_matching(candidates, n, order) == expected
+            matched += expected is not None
+        assert 0 < matched < 2000
 
     def test_zero_count(self, fano_incidence):
         result = sample_plane_permutations(fano_incidence, 0, seed=0)

@@ -1,4 +1,5 @@
 import math
+import sys
 from itertools import permutations
 
 import pytest
@@ -121,6 +122,16 @@ class TestMaxReverseFree:
 
 
 class TestMaxFullOfFlips:
+    def test_leaves_recursion_limit_unchanged(self):
+        before = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            size, _ = max_full_of_flips(2, 9, False)  # 512 vertices
+            assert size == 126
+            assert sys.getrecursionlimit() == 1000
+        finally:
+            sys.setrecursionlimit(before)
+
     def test_g22(self):
         size, witness = max_full_of_flips(2, 2, True)
         assert size == 2

@@ -1,6 +1,14 @@
 import pytest
 
-from revfree import GF, PreconditionError, factor_prime_power, field_make, is_prime
+from revfree import (
+    GF,
+    CapacityError,
+    PreconditionError,
+    factor_prime_power,
+    field_make,
+    is_prime,
+)
+from revfree.galois import MAX_FIELD_ORDER, _pack, _poly_mod, _unpack
 
 ACCEPTANCE_ORDERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
 
@@ -86,3 +94,45 @@ def test_pow_matches_repeated_multiplication():
         for exp in range(6):
             assert field.pow(a, exp) == acc
             acc = field.mul(acc, a)
+
+
+SMALL_FIELDS = [factor_prime_power(q) for q in range(2, 28) if factor_prime_power(q)]
+
+
+def schoolbook(x, y, spec, combine):
+    """Packed result of combining x and y as polynomials over GF(p), reduced
+    by the field's modulus (t for a prime field)."""
+    p, e = spec.p, spec.e
+    xs, ys = _unpack(x, e, p), _unpack(y, e, p)
+    if combine == "add":
+        coeffs = [a + b for a, b in zip(xs, ys)]
+    else:
+        coeffs = [0] * (2 * e - 1)
+        for i in range(e):
+            for j in range(e):
+                coeffs[i + j] += xs[i] * ys[j]
+    return _pack(_poly_mod(coeffs, spec.modulus or (0, 1), p), p)
+
+
+@pytest.mark.parametrize("p,e", SMALL_FIELDS)
+def test_tables_match_polynomial_arithmetic(p, e):
+    spec = field_make(p, e)
+    field = GF(spec)
+    q = p ** e
+    assert len(field._add) == len(field._mul) == q
+    for x in range(q):
+        assert field._add[x] == [schoolbook(x, y, spec, "add") for y in range(q)]
+        assert field._mul[x] == [schoolbook(x, y, spec, "mul") for y in range(q)]
+
+
+def test_inverse_of_zero_is_refused():
+    with pytest.raises(ZeroDivisionError):
+        GF(field_make(2, 2)).inv(0)
+
+
+def test_field_order_guard():
+    assert MAX_FIELD_ORDER == 1024
+    with pytest.raises(CapacityError):
+        GF(field_make(1031, 1))
+    with pytest.raises(CapacityError):
+        GF(field_make(7, 4))  # 2401

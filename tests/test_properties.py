@@ -83,6 +83,26 @@ def test_verifier_verdicts_agree(spec):
     assert wit_flips == (plain_pairs[0] if plain_pairs else None)
 
 
+def first_reverse_by_later_word(words):
+    """``(a, b, i, j)`` with the smallest b, then the smallest (i, j), then
+    the smallest a < b such that words a and b have a reverse at (i, j)."""
+    for b, x in enumerate(words):
+        for i, j in combinations(range(len(x)), 2):
+            for a, w in enumerate(words[:b]):
+                if w[i] != w[j] and w[i] == x[j] and w[j] == x[i]:
+                    return a, b, i, j
+    return None
+
+
+@PROPERTY_SETTINGS
+@given(word_lists(min_size=0, max_size=12))
+def test_signature_witness_rule(spec):
+    n, k, repetition_free, words = spec
+    code = Code(n=n, k=k, repetition_free=repetition_free, words=tuple(words))
+    expected = first_reverse_by_later_word(words)
+    assert verify_reverse_free(code, "signature") == (expected is None, expected)
+
+
 def compress(mask, keep):
     """``mask`` re-indexed onto the set bits of ``keep``, in order."""
     kept = [idx for idx, bit in enumerate(reversed(format(keep, "b"))) if bit == "1"]
