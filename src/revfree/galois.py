@@ -169,6 +169,8 @@ class GF:
         return self._mul[x][y]
 
     def pow(self, x: int, exp: int) -> int:
+        if exp < 0:
+            x, exp = self.inv(x), -exp
         result = 1
         base = x
         while exp:

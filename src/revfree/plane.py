@@ -21,8 +21,12 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .bitmatrix import BinaryMatrix
-from .errors import PreconditionError
-from .galois import GF, FieldSpec
+from .errors import CapacityError, PreconditionError
+from .galois import GF, MAX_FIELD_ORDER, FieldSpec
+
+# the largest measured order whose build + verify fits a two-minute budget:
+# PG(2,101) takes 9 + 59 s on 2 shared vCPUs, PG(2,127) 23 + 269 s
+MAX_PLANE_ORDER = 101
 
 
 @dataclass(frozen=True)
@@ -58,9 +62,16 @@ class PlaneReport:
 
 
 def plane_build(spec: FieldSpec) -> ProjectivePlane:
-    """Construct PG(2, q) for q = p^e; the result passes plane_verify."""
+    """Construct PG(2, q) for q = p^e; the result passes plane_verify.
+
+    Orders above ``MAX_PLANE_ORDER`` raise ``CapacityError`` before any
+    field table is built.
+    """
+    q = spec.order
+    # orders above MAX_FIELD_ORDER are refused by GF, naming the field's limit
+    if MAX_PLANE_ORDER < q <= MAX_FIELD_ORDER:
+        raise CapacityError(f"plane order {q} is over the limit {MAX_PLANE_ORDER}")
     field = GF(spec)
-    q = field.q
     points = []
     for b in range(q):
         for c in range(q):

@@ -6,9 +6,11 @@ the same two positions in swapped order.  A code is *reverse-free* when no
 pair of its words has a reverse, and *full of flips* when every pair does.
 
 One kernel, ``reverses_after``, holds the reverse test: it scans one word
-against the run of later words.  ``find_reverse``, the pairwise and
-full-of-flips verifiers and the exact solver's conflict graph all go through
-it; the signature verifier is the independent second route.
+against the run of later words.  ``find_reverse``, the full-of-flips
+verifier, the exact solver's conflict graph and the pairwise verifier on
+codes of at most 2k words all go through it.  On more words the pairwise
+verifier reads each position pair's first occurrence of every letter pair
+instead, and the signature verifier is the independent second route.
 
 Letters are 0-based internally (0..n-1) and 1-based in JSON, matching the
 usual 1..n presentation at the boundary.
@@ -119,14 +121,19 @@ def find_reverse(w, x):
 def verify_reverse_free(code: Code, method: str = "pairwise"):
     """Check that no pair of words in the code has a reverse.
 
-    ``method`` selects one of two independent algorithms that must agree:
-    ``"pairwise"`` scans all word pairs with the reverse test (O(M^2 k));
-    ``"signature"`` hashes the words' letter pairs at each position pair on
-    its own and looks for a swapped collision (O(M k^2)).  Returns
-    ``(True, None)`` or ``(False, (a, b, i, j))`` with word indices a < b
-    and positions i < j; the two methods agree on the verdict but may
-    report different witnesses.  The signature witness has the smallest b,
-    then the smallest (i, j), then the smallest a.
+    ``method`` selects one of two independent algorithms that must agree,
+    for M words of length k.  ``"pairwise"`` returns the lexicographically
+    first (a, b, i, j) over all reverses in O(min(M^2 k, M k^2)): on
+    M <= 2k words it scans word pairs with the reverse test, on more it
+    takes, at each position pair, the first word of each letter pair's two
+    orientations.  ``"signature"`` hashes the words'
+    letter pairs at each position pair on its own, looks for a swapped
+    collision and, only where one exists, finds the first later word b in
+    an ordered pass (O(M k^2)); its witness has the smallest b, then the
+    smallest (i, j), then the smallest a.  Returns ``(True, None)`` or
+    ``(False, (a, b, i, j))`` with word indices a < b and positions i < j;
+    the two methods agree on the verdict but may report different
+    witnesses.
     """
     if method == "pairwise":
         return _reverse_free_pairwise(code)
@@ -137,10 +144,29 @@ def verify_reverse_free(code: Code, method: str = "pairwise"):
 
 def _reverse_free_pairwise(code: Code):
     words = code.words
-    for a in range(len(words)):
-        for b, (i, j) in reverses_after(words, a, code.n):
-            return False, (a, b, i, j)
-    return True, None
+    if len(words) <= 2 * code.k:
+        for a in range(len(words)):
+            for b, (i, j) in reverses_after(words, a, code.n):
+                return False, (a, b, i, j)
+        return True, None
+    # Many words: at each position pair, the words holding (x, y) and those
+    # holding (y, x) form every reverse of that letter class, and the first
+    # such pair is the two classes' first occurrences in order, since the
+    # smaller one precedes every word of the other orientation.  The reversed
+    # columns let one dict build keep each letter pair's smallest word index.
+    columns = list(zip(*words[::-1]))
+    order = range(len(words) - 1, -1, -1)
+    best = None
+    for i, ci in enumerate(columns):
+        for j in range(i + 1, len(columns)):
+            cj = columns[j]
+            first = dict(zip(zip(ci, cj), order))
+            for x, y in first.keys() & zip(cj, ci):
+                if x < y:
+                    a, b = sorted((first[x, y], first[y, x]))
+                    if best is None or (a, b, i, j) < best:
+                        best = (a, b, i, j)
+    return best is None, best
 
 
 def _reverse_free_signatures(code: Code):

@@ -1,5 +1,9 @@
+import os
+from pathlib import Path
+
 import pytest
 
+import revfree
 from revfree import (
     field_make,
     incidence_matrix,
@@ -7,6 +11,16 @@ from revfree import (
     plane_build,
     plane_permutation_code,
 )
+
+
+@pytest.fixture(scope="session", autouse=True)
+def revfree_on_child_path():
+    """Child interpreters started by the tests import the same revfree."""
+    root = str(Path(revfree.__file__).resolve().parents[1])
+    with pytest.MonkeyPatch.context() as mp:
+        paths = [root, os.environ.get("PYTHONPATH")]
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, paths)))
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -66,6 +67,19 @@ class TestPlaneCommands:
         assert code == 2
         assert out == ""
         assert "1024" in err
+
+    def test_build_refuses_plane_over_order_guard(self, capsys, monkeypatch):
+        from revfree import plane
+
+        def no_tables(spec):
+            raise AssertionError("field tables built for a refused plane")
+
+        # GF(1021) passes the field guard; the plane guard stops it first
+        monkeypatch.setattr(plane, "GF", no_tables)
+        code, out, err = run_cli(capsys, "plane", "build", "--q", "1021")
+        assert code == 2
+        assert out == ""
+        assert "plane order 1021" in err and "101" in err
 
     def test_malformed_json_reports_location(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -186,6 +200,32 @@ class TestVerifyCommands:
         )
         assert code == 0
         assert json.loads(out)["ok"] is True
+
+    def test_default_both_reports_first_reverse_in_a_lift(
+        self, capsys, tmp_path, lifted_fano_code
+    ):
+        # the lift is reverse-free, so every reverse involves the injected
+        # word: a copy of word 40 with positions 2 and 5 swapped, at index 1500
+        words = list(lifted_fano_code.words)
+        injected = list(words[40])
+        injected[2], injected[5] = injected[5], injected[2]
+        p = 1500
+        words.insert(p, tuple(injected))
+        expected = min(
+            (min(a, p), max(a, p), i, j)
+            for a, w in enumerate(words)
+            for i, j in combinations(range(len(w)), 2)
+            if w[i] != w[j] and w[i] == injected[j] and w[j] == injected[i]
+        )
+        assert len(words) > 2 * lifted_fano_code.k
+        code_path = tmp_path / "lift.json"
+        write_code(code_path, 14, 7, [[c + 1 for c in w] for w in words])
+        code, out, _ = run_cli(capsys, "verify", "reverse-free", "--in", str(code_path))
+        assert code == 1
+        witness = json.loads(out)["witness"]
+        a, b, i, j = expected
+        assert witness["word_indices"] == [a, b]
+        assert witness["positions"] == [i + 1, j + 1]
 
     def test_full_of_flips(self, capsys, tmp_path):
         flips = tmp_path / "flips.json"

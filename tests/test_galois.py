@@ -136,3 +136,13 @@ def test_field_order_guard():
         GF(field_make(1031, 1))
     with pytest.raises(CapacityError):
         GF(field_make(7, 4))  # 2401
+
+
+def test_negative_exponent_inverts_first():
+    assert GF(field_make(5, 1)).pow(2, -1) == 3
+    field = GF(field_make(3, 2))
+    for x in range(1, field.q):
+        for e in range(1, 10):
+            assert field.pow(x, -e) == field.inv(field.pow(x, e))
+    with pytest.raises(ZeroDivisionError):
+        field.pow(0, -1)

@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from revfree import (
+    CapacityError,
     PreconditionError,
     ProjectivePlane,
     count_s,
@@ -13,6 +14,7 @@ from revfree import (
     plane_to_json_dict,
     plane_verify,
 )
+from revfree import plane as plane_module
 
 ORDERS = [2, 3, 4, 5, 7, 8, 9]
 
@@ -149,3 +151,15 @@ def test_json_rejects_bool_order():
     doc["order"] = True
     with pytest.raises(PreconditionError):
         plane_from_json_dict(doc)
+
+
+def test_plane_order_guard(monkeypatch):
+    assert plane_module.MAX_PLANE_ORDER == 101
+
+    def no_tables(spec):
+        raise AssertionError("field tables built for a refused plane")
+
+    monkeypatch.setattr(plane_module, "GF", no_tables)
+    for spec in (field_make(103, 1), field_make(11, 2), field_make(1021, 1)):
+        with pytest.raises(CapacityError, match="plane order"):
+            plane_build(spec)

@@ -3,6 +3,7 @@ agreement, and the incremental shrink state against a full rebuild."""
 
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from revfree import (
     verify_full_of_flips,
     verify_reverse_free,
 )
+from revfree import words as words_module
 from revfree.words import find_reverse, reverses_after
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None)
@@ -81,6 +83,82 @@ def test_verifier_verdicts_agree(spec):
     ok_flips, wit_flips = verify_full_of_flips(code)
     assert ok_flips == (not plain_pairs)
     assert wit_flips == (plain_pairs[0] if plain_pairs else None)
+
+
+def pairwise_scan(code):
+    """The O(M^2 k) word-pair scan: the lexicographically first
+    ``(a, b, i, j)`` over all reverses."""
+    words = code.words
+    for a in range(len(words)):
+        for b, (i, j) in reverses_after(words, a, code.n):
+            return False, (a, b, i, j)
+    return True, None
+
+
+@st.composite
+def many_word_lists(draw):
+    """Short words and up to 30 of them, so that M > 2k is common."""
+    repetition_free = draw(st.booleans())
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, min(3, n) if repetition_free else 3))
+    if repetition_free:
+        word = st.permutations(range(n)).map(lambda p: tuple(p[:k]))
+    else:
+        word = st.tuples(*[st.integers(0, n - 1)] * k)
+    words = draw(st.lists(word, max_size=30, unique=True))
+    return n, k, repetition_free, words
+
+
+@PROPERTY_SETTINGS
+@given(many_word_lists())
+def test_pairwise_on_many_words_matches_scan(spec):
+    n, k, repetition_free, words = spec
+    code = Code(n=n, k=k, repetition_free=repetition_free, words=tuple(words))
+    result = verify_reverse_free(code, "pairwise")
+    assert result == pairwise_scan(code)
+    ok, witness = result
+    if not ok:
+        a, b, i, j = witness
+        assert naive_reverse(words[a], words[b]) == (i, j)
+
+
+# k = 3: six words reverse-free among themselves, and words that reverse one
+REVERSE_FREE_SIX = ((0, 1, 2), (1, 2, 0), (2, 0, 1), (3, 4, 0), (4, 0, 3), (0, 3, 4))
+
+
+@pytest.mark.parametrize(
+    "words, expected",
+    [
+        (REVERSE_FREE_SIX, (True, None)),
+        (REVERSE_FREE_SIX + ((1, 3, 4),), (True, None)),
+        (REVERSE_FREE_SIX[:5] + ((0, 2, 1),), (False, (0, 5, 1, 2))),
+        (REVERSE_FREE_SIX + ((0, 2, 1),), (False, (0, 6, 1, 2))),
+        (((1, 0, 2),) + REVERSE_FREE_SIX, (False, (0, 1, 0, 1))),
+        (REVERSE_FREE_SIX + ((4, 3, 0),), (False, (3, 6, 0, 1))),
+    ],
+    ids=["6-free", "7-free", "6-reversed", "7-reversed", "7-first", "7-middle"],
+)
+def test_pairwise_at_the_branch_boundary(monkeypatch, words, expected):
+    code = Code(n=5, k=3, repetition_free=True, words=words)
+    assert pairwise_scan(code) == expected
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return reverses_after(*args)
+
+    monkeypatch.setattr(words_module, "reverses_after", counted)
+    assert verify_reverse_free(code, "pairwise") == expected
+    # M <= 2k scans word pairs; M > 2k works on position pairs instead
+    assert bool(calls) == (len(words) <= 2 * code.k)
+
+
+def test_pairwise_on_lifted_fano_needs_no_word_scan(monkeypatch, lifted_fano_code):
+    def refuse(*args):
+        raise AssertionError("word-pair scan on a many-word code")
+
+    monkeypatch.setattr(words_module, "reverses_after", refuse)
+    assert verify_reverse_free(lifted_fano_code, "pairwise") == (True, None)
 
 
 def first_reverse_by_later_word(words):
