@@ -304,8 +304,13 @@ def run_shrink(
     Light steps take strict precedence over heavy steps.  The input must be
     reverse-free; every executed step's guarantees are asserted.  When the
     loop ends with neither a light entry nor an avoided pair, the overall
-    matrix is necessarily S-free.
+    matrix is necessarily S-free.  A threshold that is not finite raises
+    ``PreconditionError``.
     """
+    if not math.isfinite(density_threshold):
+        raise PreconditionError(
+            f"density threshold must be finite, got {density_threshold}"
+        )
     ok, witness = verify_reverse_free(code, method="signature")
     if not ok:
         raise PreconditionError(

@@ -322,6 +322,17 @@ class TestShrinkCommand:
         assert code == 2
         assert "reverse" in err
 
+    @pytest.mark.parametrize("threshold", ["inf", "nan"])
+    def test_rejects_non_finite_threshold(self, capsys, tmp_path, threshold):
+        code_path = tmp_path / "code.json"
+        write_code(code_path, 3, 2, [[1, 2], [2, 3], [3, 1]])
+        code, out, err = run_cli(
+            capsys, "shrink", "run", "--in", str(code_path), "--threshold", threshold
+        )
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
 
 class TestBoundsCommand:
     def test_json_output(self, capsys):

@@ -1,4 +1,6 @@
 import dataclasses
+import random
+from itertools import combinations
 
 import pytest
 
@@ -15,6 +17,7 @@ from revfree import (
     plane_verify,
 )
 from revfree import plane as plane_module
+from revfree.plane import AxiomCheck, PlaneReport
 
 ORDERS = [2, 3, 4, 5, 7, 8, 9]
 
@@ -163,3 +166,128 @@ def test_plane_order_guard(monkeypatch):
     for spec in (field_make(103, 1), field_make(11, 2), field_make(1021, 1)):
         with pytest.raises(CapacityError, match="plane order"):
             plane_build(spec)
+
+
+@pytest.mark.parametrize("line, point", [((0, 1, 7), 7), ((-1, 0, 1), -1)])
+def test_incidence_matrix_rejects_out_of_range_index(line, point):
+    plane = build_order(2)
+    lines = plane.lines[:3] + (line,) + plane.lines[4:]
+    broken = dataclasses.replace(plane, lines=lines)
+    with pytest.raises(PreconditionError, match=rf"lines\[3\] names point {point}"):
+        incidence_matrix(broken)
+
+
+# -- oracle: the double-loop checks over all pairs of masks --------------------
+
+
+def reference_verify(plane):
+    """P1 and P2 AND every pair of line or point masks, P4 probes each
+    (point, line) bit; P0, P3 and P5 are the module's own checks."""
+    npts, nlines, r = len(plane.points), len(plane.lines), plane.order
+    p3, p5 = plane_module._check_p3(plane, r), plane_module._check_p5(npts, nlines, r)
+    if any(not 0 <= j < npts for line in plane.lines for j in line):
+        bad = [
+            AxiomCheck(axiom, False, "line references a point index out of range")
+            for axiom in ("P0", "P1", "P2", "P4")
+        ]
+        return PlaneReport(checks=(*bad[:3], p3, bad[3], p5))
+    line_masks = [sum(1 << j for j in set(line)) for line in plane.lines]
+    point_masks = [
+        sum(1 << i for i, lm in enumerate(line_masks) if (lm >> x) & 1)
+        for x in range(npts)
+    ]
+
+    def first_bad_pair(axiom, masks, detail):
+        for i, j in combinations(range(len(masks)), 2):
+            size = (masks[i] & masks[j]).bit_count()
+            if size != 1:
+                return AxiomCheck(axiom, False, detail.format(i, j, size))
+        return AxiomCheck(axiom, True)
+
+    p4 = AxiomCheck("P4", True)
+    for x in range(npts):
+        deg = sum(1 for lm in line_masks if (lm >> x) & 1)
+        if deg != r + 1:
+            detail = f"point {x} lies on {deg} lines, expected {r + 1}"
+            p4 = AxiomCheck("P4", False, detail)
+            break
+    return PlaneReport(
+        checks=(
+            plane_module._check_p0(plane, line_masks),
+            first_bad_pair("P1", line_masks, "lines {} and {} meet in {} points"),
+            first_bad_pair("P2", point_masks, "points {} and {} lie on {} common lines"),
+            p3,
+            p4,
+            p5,
+        )
+    )
+
+
+CORRUPTIONS = (
+    "drop", "add", "duplicate", "negative", "too-high",
+    "remove-line", "extra-line", "copy-line", "order", "move",
+)
+
+
+def corrupt(plane, rng, kind):
+    """``plane`` with one corruption of the given kind at a seeded place."""
+    lines = [list(line) for line in plane.lines]
+    npts = len(plane.points)
+    line = rng.choice(lines)
+    if kind == "drop":
+        line.pop(rng.randrange(len(line)))
+    elif kind == "add":
+        line.append(rng.randrange(npts))
+    elif kind == "duplicate":
+        line.append(rng.choice(line))
+    elif kind == "negative":
+        line.append(-rng.randint(1, 3))
+    elif kind == "too-high":
+        line.append(npts + rng.randint(0, 2))
+    elif kind == "remove-line":
+        lines.remove(line)
+    elif kind == "extra-line":
+        lines.insert(rng.randrange(npts), rng.sample(range(npts), plane.order + 1))
+    elif kind == "copy-line":
+        lines.insert(rng.randrange(npts), list(line))
+    elif kind == "order":
+        return dataclasses.replace(plane, order=plane.order + rng.choice((-1, 1)))
+    elif kind == "move":
+        line[rng.randrange(len(line))] = rng.randrange(npts)
+    return dataclasses.replace(plane, lines=tuple(tuple(sorted(ln)) for ln in lines))
+
+
+@pytest.mark.parametrize("q", ORDERS)
+def test_verify_matches_reference_on_corrupted_planes(q):
+    plane = build_order(q)
+    rng = random.Random(q)
+    cases = [
+        plane,
+        ProjectivePlane(order=q, points=(), lines=()),
+        ProjectivePlane(order=q, points=plane.points, lines=()),
+    ]
+    for kind in CORRUPTIONS:
+        cases += [corrupt(plane, rng, kind) for _ in range(6)]
+    for _ in range(30):
+        broken = plane
+        for kind in rng.sample(CORRUPTIONS, 3):
+            broken = corrupt(broken, rng, kind)
+        cases.append(broken)
+    failed = set()
+    for case in cases:
+        report = plane_verify(case)
+        assert report == reference_verify(case), case
+        failed.update(check.axiom for check in report.failed())
+    assert failed == {"P0", "P1", "P2", "P3", "P4", "P5"}
+
+
+def test_empty_document_report():
+    report = plane_verify(ProjectivePlane(order=2, points=(), lines=()))
+    assert report.checks == (
+        AxiomCheck("P0", False, "no 4-point frame meets every line in <= 2 points"),
+        AxiomCheck("P1", True),
+        AxiomCheck("P2", True),
+        AxiomCheck("P3", True),
+        AxiomCheck("P4", True),
+        AxiomCheck("P5", False, "0 points and 0 lines, expected 7 of each"),
+    )

@@ -1,5 +1,6 @@
 """Property tests: the reverse kernel against the definition, verifier
-agreement, and the incremental shrink state against a full rebuild."""
+agreement, the word/matrix bijection, S_n x S_k invariance, and the
+incremental shrink state against a full rebuild."""
 
 from itertools import combinations
 
@@ -19,7 +20,7 @@ from revfree import (
     verify_reverse_free,
 )
 from revfree import words as words_module
-from revfree.words import find_reverse, reverses_after
+from revfree.words import find_reverse, matrix_to_word, reverses_after, word_to_matrix
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -83,6 +84,35 @@ def test_verifier_verdicts_agree(spec):
     ok_flips, wit_flips = verify_full_of_flips(code)
     assert ok_flips == (not plain_pairs)
     assert wit_flips == (plain_pairs[0] if plain_pairs else None)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 8), st.data())
+def test_word_matrix_round_trip(n, data):
+    word = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))
+    matrix = word_to_matrix(word, n)
+    assert (matrix.rows, matrix.cols) == (len(word), n)
+    assert matrix_to_word(matrix) == tuple(word)
+
+
+@PROPERTY_SETTINGS
+@given(word_lists(min_size=0, max_size=10), st.data())
+def test_reverse_relation_is_invariant_under_relabelling(spec, data):
+    """Relabelling letters (S_n) and applying one position permutation to
+    every word (S_k) changes no reverse relation and no verdict."""
+    n, k, repetition_free, words = spec
+    letters = data.draw(st.permutations(range(n)))
+    positions = data.draw(st.permutations(range(k)))
+    relabelled = [tuple(letters[w[p]] for p in positions) for w in words]
+    for w, x in combinations(range(len(words)), 2):
+        assert (find_reverse(words[w], words[x]) is None) == (
+            find_reverse(relabelled[w], relabelled[x]) is None
+        )
+    before = Code(n=n, k=k, repetition_free=repetition_free, words=tuple(words))
+    after = Code(n=n, k=k, repetition_free=repetition_free, words=tuple(relabelled))
+    for method in ("pairwise", "signature"):
+        verdict = verify_reverse_free(before, method)[0]
+        assert verify_reverse_free(after, method)[0] == verdict
 
 
 def pairwise_scan(code):

@@ -188,6 +188,12 @@ class TestRunShrink:
             run_shrink(code)
         assert info.value.witness is not None
 
+    @pytest.mark.parametrize("threshold", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_threshold(self, threshold):
+        code = make_code(3, 2, MATCHING_CODE)
+        with pytest.raises(PreconditionError, match="finite"):
+            run_shrink(code, density_threshold=threshold)
+
     def test_fano_code_stops_immediately(self, fano_code24):
         trace = run_shrink(fano_code24)
         assert trace.steps == ()
