@@ -19,13 +19,13 @@ P1, P2 and P4 read the incidence matrix as bitmasks: one point mask per line
 line masks of i's points gives the lines meeting i at least once and at
 least twice; the first line j > i missing from the first set or present in
 the second fails P1.  P2 is the same pass with points and lines swapped, and
-P4 reads the column weights.
+P4 reads the column weights.  When the standard frame fails P0, the frame
+search prunes with the same masks (see ``_check_p0``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .bitmatrix import BinaryMatrix
 from .errors import CapacityError, PreconditionError
@@ -113,7 +113,7 @@ def plane_verify(plane: ProjectivePlane) -> PlaneReport:
         point_masks = (0,) * npts
         if npts and nlines:
             point_masks = BinaryMatrix(nlines, npts, line_masks).col_masks()
-        p0 = _check_p0(plane, line_masks)
+        p0 = _check_p0(plane, line_masks, point_masks)
         p1 = _check_pairs(
             "P1", line_masks, point_masks, "lines {} and {} meet in {} points"
         )
@@ -162,20 +162,42 @@ def _check_pairs(axiom, masks, duals, detail):
     return AxiomCheck(axiom, True)
 
 
-def _check_p0(plane, line_masks):
-    def frame_ok(indices):
-        fmask = 0
-        for j in indices:
-            fmask |= 1 << j
-        return all((fmask & lm).bit_count() <= 2 for lm in line_masks)
-
+def _check_p0(plane, line_masks, point_masks):
+    """The standard frame if the document has it; otherwise the first frame
+    (a, b, c, d) in lexicographic order.  Four points form a frame exactly
+    when no line holds three of them, so with coll(x, y) the points on the
+    lines through both x and y, the search takes c > b outside coll(a, b) and
+    d > c outside coll(a, b) | coll(a, c) | coll(b, c)."""
     index_of = {pt: j for j, pt in enumerate(plane.points)}
     frame = [index_of.get(pt) for pt in STANDARD_FRAME]
-    if None not in frame and frame_ok(frame):
-        return AxiomCheck("P0", True)
-    for indices in combinations(range(len(plane.points)), 4):
-        if frame_ok(indices):
-            return AxiomCheck("P0", True, f"frame {list(indices)} found by search")
+    if None not in frame:
+        fmask = sum(1 << j for j in frame)
+        if all((fmask & lm).bit_count() <= 2 for lm in line_masks):
+            return AxiomCheck("P0", True)
+
+    full = (1 << len(plane.points)) - 1
+
+    def coll(x, y):
+        out = 0
+        common = point_masks[x] & point_masks[y]
+        while common and out != full:
+            low = common & -common
+            out |= line_masks[low.bit_length() - 1]
+            common ^= low
+        return out
+
+    for a in range(len(plane.points)):
+        for b in range(a + 1, len(plane.points)):
+            ab = coll(a, b)
+            cs = full & ~(ab | ((2 << b) - 1))
+            while cs:
+                low = cs & -cs
+                c = low.bit_length() - 1
+                ds = full & ~(ab | coll(a, c) | coll(b, c) | ((2 << c) - 1))
+                if ds:
+                    d = (ds & -ds).bit_length() - 1
+                    return AxiomCheck("P0", True, f"frame {[a, b, c, d]} found by search")
+                cs ^= low
     return AxiomCheck("P0", False, "no 4-point frame meets every line in <= 2 points")
 
 

@@ -1,12 +1,18 @@
+import importlib.util
 import math
 import random
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import revfree.bitmatrix as bitmatrix
 from revfree import (
     BinaryMatrix,
     CapacityError,
+    InvariantError,
     PreconditionError,
     S_PATTERN,
     contains,
@@ -40,6 +46,30 @@ def brute_force_permanent(matrix):
         for perm in permutations(range(n))
         if all(matrix.get(i, perm[i]) for i in range(n))
     )
+
+
+def ryser_permanent(matrix):
+    """Ryser's inclusion-exclusion over column subsets, the subsets walked in
+    Gray-code order so each step adds or removes one column's row sums."""
+    n = matrix.rows
+    row_bits = matrix.row_masks()
+    rowsums = [0] * n
+    total = 0
+    size = 0
+    prev_gray = 0
+    for g in range(1, 1 << n):
+        gray = g ^ (g >> 1)
+        diff = gray ^ prev_gray
+        prev_gray = gray
+        col = diff.bit_length() - 1
+        delta = 1 if gray & diff else -1
+        size += delta
+        for r in range(n):
+            if (row_bits[r] >> col) & 1:
+                rowsums[r] += delta
+        term = math.prod(rowsums)
+        total += term if (n - size) % 2 == 0 else -term
+    return total
 
 
 def random_matrix(rng, rows, cols):
@@ -192,14 +222,36 @@ class TestSLowerBound:
             assert count_s(matrix).exact_count >= s_lower_bound(n, k, m)
 
 
+@st.composite
+def square_matrices(draw):
+    """A square 0/1 matrix of side 1-10, zero rows and columns included,
+    with a row permutation and a column permutation of its side."""
+    n = draw(st.integers(1, 10))
+    full = (1 << n) - 1
+    rows = draw(st.lists(st.integers(0, full), min_size=n, max_size=n))
+    kept_cols = draw(st.integers(0, full))
+    matrix = BinaryMatrix(n, n, [bits & kept_cols for bits in rows])
+    return matrix, draw(st.permutations(range(n))), draw(st.permutations(range(n)))
+
+
+def permuted(matrix, row_order, col_order):
+    """Row i of the result is row ``row_order[i]`` of ``matrix`` with column
+    c moved to ``col_order[c]``."""
+    rows = []
+    for r in row_order:
+        bits = matrix.row_mask(r)
+        rows.append(sum(1 << col_order[c] for c in range(matrix.cols) if bits >> c & 1))
+    return BinaryMatrix(matrix.rows, matrix.cols, rows)
+
+
 class TestPermanent:
     def test_identity(self):
         for n in range(1, 7):
             assert permanent(BinaryMatrix.identity(n)) == 1
 
     def test_all_ones(self):
-        assert permanent(BinaryMatrix.all_ones(3, 3)) == 6
-        assert permanent(BinaryMatrix.all_ones(5, 5)) == 120
+        for n in range(1, 13):
+            assert permanent(BinaryMatrix.all_ones(n, n)) == math.factorial(n)
 
     def test_fano(self, fano_incidence):
         assert permanent(fano_incidence) == 24
@@ -210,15 +262,64 @@ class TestPermanent:
         for _ in range(150):
             n = rng.randint(1, 7)
             m = random_matrix(rng, n, n)
-            assert permanent(m) == brute_force_permanent(m)
+            assert permanent(m) == brute_force_permanent(m) == ryser_permanent(m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(square_matrices())
+    def test_matches_ryser_and_is_invariant(self, case):
+        matrix, row_order, col_order = case
+        value = permanent(matrix)
+        assert value == ryser_permanent(matrix)
+        assert permanent(matrix.transpose()) == value
+        assert permanent(permuted(matrix, row_order, col_order)) == value
 
     def test_rejects_non_square(self):
         with pytest.raises(PreconditionError):
             permanent(BinaryMatrix.zeros(2, 3))
 
-    def test_capacity_guard(self):
-        with pytest.raises(CapacityError):
-            permanent(BinaryMatrix.zeros(31, 31))
+    def test_capacity_guard(self, monkeypatch):
+        def no_terms(values):
+            raise AssertionError("a term was formed for a refused side")
+
+        monkeypatch.setattr(bitmatrix.math, "prod", no_terms)
+        for n in (bitmatrix.PERMANENT_MAX_SIDE + 1, 31):
+            with pytest.raises(CapacityError):
+                permanent(BinaryMatrix.all_ones(n, n))
+
+    def test_glynn_sum_not_a_multiple_raises(self, monkeypatch):
+        real_prod = math.prod
+        calls = []
+
+        def first_term_off_by_one(values):
+            calls.append(None)
+            return real_prod(values) + (len(calls) == 1)
+
+        monkeypatch.setattr(bitmatrix.math, "prod", first_term_off_by_one)
+        with pytest.raises(InvariantError, match="multiple of 2\\^2"):
+            permanent(BinaryMatrix.all_ones(3, 3))
+
+    def test_negative_glynn_sum_raises(self, monkeypatch):
+        real_prod = math.prod
+        monkeypatch.setattr(bitmatrix.math, "prod", lambda values: -real_prod(values))
+        with pytest.raises(InvariantError, match="non-negative"):
+            permanent(BinaryMatrix.identity(1))
+
+
+def test_traced_bitmatrix_spans_resolve():
+    """Every ``bitmatrix`` target of the benchmark's span table is still a
+    module-level name, so the per-layer ``bitmatrix.*`` metrics keep their
+    spans; a rename would drop them silently."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = [attr for module, attr, _, _ in tracing.SPANS if module == "bitmatrix"]
+    assert "permanent" in targets
+    for attr in targets:
+        owner_name, _, name = attr.rpartition(".")
+        owner = vars(bitmatrix)[owner_name] if owner_name else bitmatrix
+        assert vars(owner).get(name) is not None, attr
+    assert bitmatrix.permanent is permanent
 
 
 class TestRegularPermanentLowerBound:

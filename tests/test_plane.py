@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -180,9 +181,29 @@ def test_incidence_matrix_rejects_out_of_range_index(line, point):
 # -- oracle: the double-loop checks over all pairs of masks --------------------
 
 
+def reference_p0(plane, line_masks):
+    """The standard frame, else the first 4-subset in ``combinations`` order
+    that every line meets in at most 2 points."""
+
+    def frame_ok(bits):
+        fmask = sum(bits)
+        return all((fmask & lm).bit_count() <= 2 for lm in line_masks)
+
+    index_of = {pt: j for j, pt in enumerate(plane.points)}
+    frame = [index_of.get(pt) for pt in plane_module.STANDARD_FRAME]
+    if None not in frame and frame_ok([1 << j for j in frame]):
+        return AxiomCheck("P0", True)
+    for bits in combinations([1 << j for j in range(len(plane.points))], 4):
+        if frame_ok(bits):
+            indices = [b.bit_length() - 1 for b in bits]
+            return AxiomCheck("P0", True, f"frame {indices} found by search")
+    return AxiomCheck("P0", False, "no 4-point frame meets every line in <= 2 points")
+
+
 def reference_verify(plane):
-    """P1 and P2 AND every pair of line or point masks, P4 probes each
-    (point, line) bit; P0, P3 and P5 are the module's own checks."""
+    """P0 walks 4-subsets in ``combinations`` order, P1 and P2 AND every
+    pair of line or point masks, P4 probes each (point, line) bit; P3 and
+    P5 are the module's own checks."""
     npts, nlines, r = len(plane.points), len(plane.lines), plane.order
     p3, p5 = plane_module._check_p3(plane, r), plane_module._check_p5(npts, nlines, r)
     if any(not 0 <= j < npts for line in plane.lines for j in line):
@@ -213,7 +234,7 @@ def reference_verify(plane):
             break
     return PlaneReport(
         checks=(
-            plane_module._check_p0(plane, line_masks),
+            reference_p0(plane, line_masks),
             first_bad_pair("P1", line_masks, "lines {} and {} meet in {} points"),
             first_bad_pair("P2", point_masks, "points {} and {} lie on {} common lines"),
             p3,
@@ -291,3 +312,47 @@ def test_empty_document_report():
         AxiomCheck("P4", True),
         AxiomCheck("P5", False, "0 points and 0 lines, expected 7 of each"),
     )
+
+
+def unlabelled(plane):
+    """``plane`` with coordinates no point of PG(2, q) has, so P0 cannot
+    find the standard frame and searches."""
+    return dataclasses.replace(plane, points=tuple((0, 0, -i) for i in range(len(plane.points))))
+
+
+@pytest.mark.parametrize("q", ORDERS)
+def test_frame_search_matches_combinations(q):
+    plane = unlabelled(build_order(q))
+    rng = random.Random(100 + q)
+    cases = [plane]
+    for kind in CORRUPTIONS:
+        if kind not in ("negative", "too-high"):
+            cases += [corrupt(plane, rng, kind) for _ in range(6)]
+    # put three points of the first frame on a new line, eight times over,
+    # so each search has to move past the frame the previous one found
+    blocked = plane
+    frames = set()
+    for _ in range(8):
+        p0 = plane_verify(blocked).checks[0]
+        assert p0 == reference_p0(blocked, plane_module._line_masks(blocked))
+        if not p0.ok:
+            break
+        frame = [int(j) for j in re.search(r"\[(.*)\]", p0.detail)[1].split(",")]
+        frames.add(tuple(frame))
+        line = tuple(sorted(rng.sample(frame, 3)))
+        blocked = dataclasses.replace(blocked, lines=blocked.lines + (line,))
+    assert len(frames) > 4
+    for case in cases:
+        assert plane_verify(case).checks[0] == reference_p0(
+            case, plane_module._line_masks(case)
+        ), case
+
+
+@pytest.mark.parametrize("npts", [91, 133])
+def test_frame_search_on_degenerate_documents(npts):
+    everything = tuple(range(npts))
+    doc = ProjectivePlane(order=9, points=tuple((0, 0, -i) for i in range(npts)),
+                          lines=(everything,) * npts)
+    expected = AxiomCheck("P0", False, "no 4-point frame meets every line in <= 2 points")
+    assert plane_verify(doc).checks[0] == expected
+    assert reference_p0(doc, plane_module._line_masks(doc)) == expected
