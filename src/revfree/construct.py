@@ -129,27 +129,22 @@ def sample_plane_permutations(
     """Sample distinct matchings of an S-free square matrix.
 
     Each attempt builds one matching by augmenting-path search under a
-    fresh random row order and random per-row candidate priorities, so an
-    attempt fails only when the matrix has no perfect matching at all (the
-    search is polynomial per attempt; plain restart-on-dead-end greedy has
-    a vanishing success rate already at side 57).  Results are deduplicated
-    until ``count`` distinct words are found or the budget of
-    ``100 * count`` attempts is exhausted.  Deterministic for a fixed seed.
+    fresh random row order and column priority, so an attempt fails only
+    when the matrix has no perfect matching at all (the search is
+    polynomial per attempt; plain restart-on-dead-end greedy has a
+    vanishing success rate already at side 57).  Every row tries its
+    columns in priority order, so with column c relabelled as bit
+    ``priority[c]`` its next candidate is its lowest untried bit; the
+    search runs on these ranked masks and its matching is mapped back
+    through the inverse priority.  Results are deduplicated until ``count``
+    distinct words are found or the budget of ``100 * count`` attempts is
+    exhausted.  Deterministic for a fixed seed.
     """
     _check_matching_host(matrix)
     if count < 0:
         raise PreconditionError("count must be nonnegative")
     n = matrix.rows
-    row_bits = matrix.row_masks()
-    row_cols = []
-    for r in range(n):
-        mask = row_bits[r]
-        cols = []
-        while mask:
-            low = mask & -mask
-            cols.append(low.bit_length() - 1)
-            mask ^= low
-        row_cols.append(cols)
+    row_cols = [[c for c in range(n) if mask >> c & 1] for mask in matrix.row_masks()]
     rng = random.Random(seed)
     found: dict = {}
     budget = ATTEMPT_BUDGET_FACTOR * count
@@ -160,50 +155,57 @@ def sample_plane_permutations(
         attempts += 1
         rng.shuffle(order)
         rng.shuffle(priority)
-        candidates = [sorted(row_cols[r], key=priority.__getitem__) for r in range(n)]
-        word = _augmenting_matching(candidates, n, order)
-        if word is not None:
-            found.setdefault(word, None)
+        bit = [1 << rank for rank in priority]
+        ranked = [sum(map(bit.__getitem__, cols)) for cols in row_cols]
+        ranks = _augmenting_matching(ranked, n, order)
+        if ranks is not None:
+            col_of = sorted(range(n), key=priority.__getitem__)
+            found.setdefault(tuple(map(col_of.__getitem__, ranks)), None)
     code = Code(n=n, k=n, repetition_free=True, words=tuple(found))
     return SampleResult(code=code, attempts=attempts, complete=len(found) >= count)
 
 
-def _augmenting_matching(candidates, n, order):
-    """One perfect matching via augmenting paths (rows in the given order).
+def _augmenting_matching(ranked, n, order):
+    """One perfect matching via augmenting paths (rows in the given order)
+    on rank-relabelled columns; returns each row's column rank, or None.
 
-    Depth-first search from each row for a free column, with an explicit
-    stack: ``rows[t]`` tries its candidates in order, and ``cols[t]`` is the
-    column it took, owned by ``rows[t + 1]``.  Columns once visited stay
-    visited for the rest of that row's search.
+    Depth-first search from each root row for a free column, with an
+    explicit stack: ``rows[t]`` takes the lowest bit of its mask still in
+    ``avail``, the columns not yet visited from this root, and that
+    column's owner is ``rows[t + 1]``.  Visited columns stay visited, so
+    that bit is the row's next untried candidate in rank order.  On
+    reaching a free column each stacked row takes the column of the row
+    after it.  ``owner`` and ``choice`` number a column by its bit length,
+    rank + 1.
     """
-    col_owner = [-1] * n
-    row_choice = [-1] * n
+    owner = [-1] * (n + 1)
+    choice = [0] * n
+    full = (1 << n) - 1
     for root in order:
-        visited = 0
-        rows, tries, cols = [root], [iter(candidates[root])], []
-        while rows:
-            for c in tries[-1]:
-                if not (visited >> c) & 1:
+        avail = full
+        rows = [root]
+        row = root
+        while True:
+            cand = ranked[row] & avail
+            if cand:
+                low = cand & -cand
+                avail ^= low
+                col = low.bit_length()
+                row = owner[col]
+                if row < 0:
                     break
+                rows.append(row)
             else:
                 rows.pop()
-                tries.pop()
-                if cols:
-                    cols.pop()
-                continue
-            visited |= 1 << c
-            cols.append(c)
-            owner = col_owner[c]
-            if owner < 0:
-                break
-            rows.append(owner)
-            tries.append(iter(candidates[owner]))
-        if not rows:
-            return None
-        for r, c in zip(rows, cols):
-            col_owner[c] = r
-            row_choice[r] = c
-    return tuple(row_choice)
+                if not rows:
+                    return None
+                row = rows[-1]
+        for row, nxt in zip(rows, rows[1:]):
+            choice[row] = choice[nxt]
+            owner[choice[row]] = row
+        choice[rows[-1]] = col
+        owner[col] = rows[-1]
+    return tuple(col - 1 for col in choice)
 
 
 # -- padding and lifting -------------------------------------------------------
@@ -231,11 +233,6 @@ def pad_code(code: Code, n: int) -> Code:
 def residue_classes(n: int, k: int):
     """For each residue 0..k-1, the ascending letters of [n] congruent to it."""
     return [tuple(range(rho, n, k)) for rho in range(k)]
-
-
-def compress_word(word, k: int):
-    """Coordinatewise mod-k image of a word (0-based letters)."""
-    return tuple(c % k for c in word)
 
 
 def lift_code(code: Code, n: int, limit: int | None = None) -> Code:

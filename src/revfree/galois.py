@@ -184,8 +184,3 @@ class GF:
         if x == 0:
             raise ZeroDivisionError("0 has no inverse")
         return self._mul[x].index(1)
-
-    def dot3(self, u, v) -> int:
-        """Dot product of coordinate triples."""
-        add, mul = self._add, self._mul
-        return add[add[mul[u[0]][v[0]]][mul[u[1]][v[1]]]][mul[u[2]][v[2]]]

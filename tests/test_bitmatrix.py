@@ -305,20 +305,26 @@ class TestPermanent:
             permanent(BinaryMatrix.identity(1))
 
 
-def test_traced_bitmatrix_spans_resolve():
-    """Every ``bitmatrix`` target of the benchmark's span table is still a
-    module-level name, so the per-layer ``bitmatrix.*`` metrics keep their
-    spans; a rename would drop them silently."""
+def test_traced_spans_resolve():
+    """Every target of the benchmark's span and count tables is still a
+    module-level name or class attribute of its ``revfree`` module, so each
+    per-layer metric keeps its span or counter; a rename would zero it
+    silently."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    targets = [attr for module, attr, _, _ in tracing.SPANS if module == "bitmatrix"]
-    assert "permanent" in targets
-    for attr in targets:
+    targets = [(module, attr) for module, attr, _, _ in tracing.SPANS]
+    targets += [(module, attr) for module, attr, _ in tracing.COUNTED]
+    for expected in [("bitmatrix", "permanent"), ("plane", "plane_build"),
+                     ("construct", "sample_plane_permutations"),
+                     ("galois", "GF.add"), ("galois", "GF.mul")]:
+        assert expected in targets
+    for module_name, attr in targets:
+        module = importlib.import_module(f"revfree.{module_name}")
         owner_name, _, name = attr.rpartition(".")
-        owner = vars(bitmatrix)[owner_name] if owner_name else bitmatrix
-        assert vars(owner).get(name) is not None, attr
+        owner = vars(module)[owner_name] if owner_name else module
+        assert vars(owner).get(name) is not None, f"{module_name}.{attr}"
     assert bitmatrix.permanent is permanent
 
 

@@ -8,6 +8,7 @@ from revfree import (
     BinaryMatrix,
     Code,
     PreconditionError,
+    SampleResult,
     bound_table,
     factor_prime_power,
     field_make,
@@ -22,7 +23,7 @@ from revfree import (
     sample_plane_permutations,
     verify_reverse_free,
 )
-from revfree.construct import BoundsReport, _augmenting_matching, residue_classes, compress_word
+from revfree.construct import ATTEMPT_BUDGET_FACTOR, BoundsReport, _augmenting_matching, residue_classes
 from revfree.words import overall_matrix
 
 
@@ -75,6 +76,65 @@ def recursive_augmenting(candidates, n, order):
     for r in order:
         if not augment(r, 0)[1]:
             return None
+    return tuple(row_choice)
+
+
+def reference_sample(matrix, count, seed=0):
+    """The iterator sampler: every attempt sorts each row's candidate columns
+    by the shuffled priority and searches them with one iterator per stacked
+    row; the library's ranked bitmask search must reproduce it exactly."""
+    n = matrix.rows
+    row_cols = [[c for c in range(n) if matrix.get(r, c)] for r in range(n)]
+    rng = random.Random(seed)
+    found = {}
+    budget = ATTEMPT_BUDGET_FACTOR * count
+    attempts = 0
+    order = list(range(n))
+    priority = list(range(n))
+    while len(found) < count and attempts < budget:
+        attempts += 1
+        rng.shuffle(order)
+        rng.shuffle(priority)
+        candidates = [sorted(row_cols[r], key=priority.__getitem__) for r in range(n)]
+        word = iterator_augmenting(candidates, n, order)
+        if word is not None:
+            found.setdefault(word, None)
+    code = Code(n=n, k=n, repetition_free=True, words=tuple(found))
+    return SampleResult(code=code, attempts=attempts, complete=len(found) >= count)
+
+
+def iterator_augmenting(candidates, n, order):
+    """Augmenting paths with an explicit stack: ``rows[t]`` tries its
+    candidates in order, and ``cols[t]`` is the column it took, owned by
+    ``rows[t + 1]``.  Columns once visited stay visited for the rest of that
+    row's search."""
+    col_owner = [-1] * n
+    row_choice = [-1] * n
+    for root in order:
+        visited = 0
+        rows, tries, cols = [root], [iter(candidates[root])], []
+        while rows:
+            for c in tries[-1]:
+                if not (visited >> c) & 1:
+                    break
+            else:
+                rows.pop()
+                tries.pop()
+                if cols:
+                    cols.pop()
+                continue
+            visited |= 1 << c
+            cols.append(c)
+            owner = col_owner[c]
+            if owner < 0:
+                break
+            rows.append(owner)
+            tries.append(iter(candidates[owner]))
+        if not rows:
+            return None
+        for r, c in zip(rows, cols):
+            col_owner[c] = r
+            row_choice[r] = c
     return tuple(row_choice)
 
 
@@ -183,12 +243,36 @@ class TestSampling:
         matched = 0
         for _ in range(2000):
             n = rng.randint(1, 9)
-            candidates = [rng.sample(range(n), rng.randint(1, n)) for _ in range(n)]
+            priority = rng.sample(range(n), n)
             order = rng.sample(range(n), n)
+            candidates = [
+                sorted(rng.sample(range(n), rng.randint(1, n)), key=priority.__getitem__)
+                for _ in range(n)
+            ]
+            ranked = [sum(1 << priority[c] for c in cols) for cols in candidates]
             expected = recursive_augmenting(candidates, n, order)
-            assert _augmenting_matching(candidates, n, order) == expected
+            ranks = _augmenting_matching(ranked, n, order)
+            col_of = sorted(range(n), key=priority.__getitem__)
+            got = None if ranks is None else tuple(col_of[b] for b in ranks)
+            assert got == expected
             matched += expected is not None
         assert 0 < matched < 2000
+
+    @pytest.mark.parametrize("q,count", [(2, 30), (3, 60), (4, 60), (5, 80), (7, 80)])
+    def test_sample_matches_iterator_reference(self, q, count):
+        inc = incidence_matrix(plane_build(field_make(*factor_prime_power(q))))
+        for seed in range(4):
+            result = sample_plane_permutations(inc, count, seed=seed)
+            assert result == reference_sample(inc, count, seed=seed)
+
+    def test_host_without_perfect_matching_uses_budget(self):
+        # rows 0 and 1 both have only column 0
+        host = BinaryMatrix.from_rows([[1, 0, 0], [1, 0, 0], [0, 1, 1]])
+        result = sample_plane_permutations(host, 3, seed=5)
+        assert result == reference_sample(host, 3, seed=5)
+        assert result.attempts == 300
+        assert not result.complete
+        assert result.code.words == ()
 
     def test_zero_count(self, fano_incidence):
         result = sample_plane_permutations(fano_incidence, 0, seed=0)
@@ -280,9 +364,9 @@ class TestLifting:
     def test_compression_round_trip(self):
         code = cyclic_shift_code(5)
         lifted = lift_code(code, 12)
-        sources = {compress_word(w, 5) for w in code.words}
+        sources = {tuple(c % 5 for c in w) for w in code.words}
         for word in lifted.words:
-            assert compress_word(word, 5) in sources
+            assert tuple(c % 5 for c in word) in sources
 
     def test_preserves_reverse_freeness_random(self):
         rng = random.Random(11)

@@ -10,6 +10,7 @@ from revfree import (
     PreconditionError,
     ProjectivePlane,
     count_s,
+    factor_prime_power,
     field_make,
     incidence_matrix,
     plane_build,
@@ -18,16 +19,44 @@ from revfree import (
     plane_verify,
 )
 from revfree import plane as plane_module
+from revfree.galois import GF, MAX_EXTENSION_DEGREE
 from revfree.plane import AxiomCheck, PlaneReport
 
 ORDERS = [2, 3, 4, 5, 7, 8, 9]
 
 
 def build_order(q):
-    from revfree import factor_prime_power
-
     p, e = factor_prime_power(q)
     return plane_build(field_make(p, e))
+
+
+def dot_product_plane(spec):
+    """Reference construction: the normalized triples sorted, and line i the points
+    whose dot product with triple i is 0, tested on all N^2 pairs."""
+    q = spec.order
+    field = GF(spec)
+    add, mul = field.add, field.mul
+    points = [(1, y, z) for y in range(q) for z in range(q)]
+    points += [(0, 1, z) for z in range(q)] + [(0, 0, 1)]
+    points.sort()
+    lines = [
+        tuple(j for j, x in enumerate(points)
+              if add(add(mul(x[0], a), mul(x[1], b)), mul(x[2], c)) == 0)
+        for a, b, c in points
+    ]
+    return ProjectivePlane(order=q, points=tuple(points), lines=tuple(lines))
+
+
+BUILT_ORDERS = [
+    q for q in range(2, 33)
+    if factor_prime_power(q) and factor_prime_power(q)[1] <= MAX_EXTENSION_DEGREE
+]
+
+
+@pytest.mark.parametrize("q", BUILT_ORDERS)
+def test_build_matches_dot_product_reference(q):
+    spec = field_make(*factor_prime_power(q))
+    assert plane_build(spec) == dot_product_plane(spec)
 
 
 @pytest.mark.parametrize("q", ORDERS)
