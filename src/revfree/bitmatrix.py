@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import CapacityError, InvariantError, PreconditionError
+from .errors import CapacityError, InvariantError, PreconditionError, _read_document
 
 # the largest side whose worst case, the all-ones matrix, finishes within a
 # 60 s budget: 46 s at side 27, 97 s at side 28 (2 shared vCPUs, Python
@@ -145,25 +145,10 @@ class BinaryMatrix:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BinaryMatrix":
-        try:
-            rows = data["rows"]
-            cols = data["cols"]
-            ones = data["ones"]
-        except (KeyError, TypeError) as exc:
-            raise PreconditionError(f"malformed matrix document: missing {exc}") from exc
+        rows, cols, ones = _read_document(data, "matrix", ("rows", "cols"), ones=2)
         if not (type(rows) is int and type(cols) is int):
             raise PreconditionError("matrix rows/cols must be integers")
-        pairs = []
-        try:
-            for idx, entry in enumerate(ones):
-                if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
-                    raise PreconditionError(f"malformed 1-entry ones[{idx}]: {entry!r}")
-                if not (type(entry[0]) is int and type(entry[1]) is int):
-                    raise PreconditionError(f"non-integer 1-entry ones[{idx}]: {entry!r}")
-                pairs.append((entry[0], entry[1]))
-        except TypeError as exc:
-            raise PreconditionError(f"malformed matrix document: {exc}") from exc
-        return cls.from_ones(rows, cols, pairs)
+        return cls.from_ones(rows, cols, ones)
 
     # -- dunder ------------------------------------------------------------
 

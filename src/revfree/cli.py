@@ -13,10 +13,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import construct, exact, shrink
 from .bitmatrix import BinaryMatrix, count_s, permanent
-from .errors import CapacityError, PreconditionError
+from .errors import PreconditionError
 from .galois import factor_prime_power, field_make
 from .plane import (
     incidence_matrix,
@@ -76,16 +77,7 @@ def _cmd_plane_build(args) -> int:
 def _cmd_plane_verify(args) -> int:
     plane = plane_from_json_dict(_load_json(args.in_path))
     report = plane_verify(plane)
-    _emit(
-        {
-            "ok": report.ok,
-            "checks": [
-                {"axiom": c.axiom, "ok": c.ok, "detail": c.detail}
-                for c in report.checks
-            ],
-        },
-        None,
-    )
+    _emit({"ok": report.ok, "checks": [asdict(c) for c in report.checks]}, None)
     return 0 if report.ok else 1
 
 
@@ -156,17 +148,7 @@ def _cmd_verify_full_of_flips(args) -> int:
 
 
 def _cmd_matrix_count_s(args) -> int:
-    report = count_s(_load_matrix(args.in_path))
-    _emit(
-        {
-            "exact_count": report.exact_count,
-            "row_pair_count": report.row_pair_count,
-            "density_m": report.density_m,
-            "analytic_bound": report.analytic_bound,
-            "premise_ok": report.premise_ok,
-        },
-        None,
-    )
+    _emit(asdict(count_s(_load_matrix(args.in_path))), None)
     return 0
 
 
@@ -336,18 +318,12 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except CapacityError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except PreconditionError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except json.JSONDecodeError as exc:
         sys.stderr.write(
             f"error: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}\n"
         )
         return 2
-    except OSError as exc:
+    except (PreconditionError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

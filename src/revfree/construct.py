@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from itertools import chain, islice, product
 
 from .bitmatrix import BinaryMatrix, S_PATTERN, contains, count_s
@@ -111,8 +111,8 @@ def plane_permutation_code(matrix: BinaryMatrix, limit: int | None = None) -> Co
 class SampleResult:
     """Outcome of randomized matching sampling.
 
-    ``complete`` is False when the attempt budget ran out before reaching
-    the requested count; the partial code is still returned.
+    ``complete`` is False when sampling stopped before reaching the
+    requested count; the partial code is still returned.
     """
 
     code: Code
@@ -137,8 +137,9 @@ def sample_plane_permutations(
     ``priority[c]`` its next candidate is its lowest untried bit; the
     search runs on these ranked masks and its matching is mapped back
     through the inverse priority.  Results are deduplicated until ``count``
-    distinct words are found or the budget of ``100 * count`` attempts is
-    exhausted.  Deterministic for a fixed seed.
+    distinct words are found, the budget of ``100 * count`` attempts is
+    exhausted, or an attempt fails, since then every later one would too.
+    Deterministic for a fixed seed.
     """
     _check_matching_host(matrix)
     if count < 0:
@@ -158,9 +159,10 @@ def sample_plane_permutations(
         bit = [1 << rank for rank in priority]
         ranked = [sum(map(bit.__getitem__, cols)) for cols in row_cols]
         ranks = _augmenting_matching(ranked, n, order)
-        if ranks is not None:
-            col_of = sorted(range(n), key=priority.__getitem__)
-            found.setdefault(tuple(map(col_of.__getitem__, ranks)), None)
+        if ranks is None:
+            break
+        col_of = sorted(range(n), key=priority.__getitem__)
+        found.setdefault(tuple(map(col_of.__getitem__, ranks)), None)
     code = Code(n=n, k=n, repetition_free=True, words=tuple(found))
     return SampleResult(code=code, attempts=attempts, complete=len(found) >= count)
 
@@ -290,37 +292,14 @@ class BoundsReport:
     log2_upper_trivial: float
     log2_upper_combined: float
 
-    CSV_HEADER = (
-        "n,k,size,exponent_achieved,reference_exponent,"
-        "log2_lower_combinator,log2_upper_trivial,log2_upper_combined"
-    )
-
     def to_csv_row(self) -> str:
-        combinator = "" if self.log2_lower_combinator is None else repr(self.log2_lower_combinator)
-        return ",".join(
-            [
-                str(self.n),
-                str(self.k),
-                str(self.size),
-                repr(self.exponent_achieved),
-                repr(self.reference_exponent),
-                combinator,
-                repr(self.log2_upper_trivial),
-                repr(self.log2_upper_combined),
-            ]
-        )
+        return ",".join("" if v is None else repr(v) for v in astuple(self))
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "size": self.size,
-            "exponent_achieved": self.exponent_achieved,
-            "reference_exponent": self.reference_exponent,
-            "log2_lower_combinator": self.log2_lower_combinator,
-            "log2_upper_trivial": self.log2_upper_trivial,
-            "log2_upper_combined": self.log2_upper_combined,
-        }
+        return asdict(self)
+
+
+BoundsReport.CSV_HEADER = ",".join(f.name for f in fields(BoundsReport))
 
 
 def bound_table(n: int, k: int, size: int, f_kk: int | None = None) -> BoundsReport:

@@ -11,7 +11,6 @@ plus a brute-force subset oracle for cross-validation on tiny instances.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from itertools import permutations, product
 
@@ -101,12 +100,6 @@ def max_clique_vertices(adj, nv: int):
             mask ^= low
         radj[rank[v]] = new
 
-    best: list[int] = []
-    stack: list[int] = []
-    limit = sys.getrecursionlimit()
-    if limit < 2 * nv + 100:
-        sys.setrecursionlimit(2 * nv + 100)
-
     def color_sort(cand: int):
         verts: list[int] = []
         bounds: list[int] = []
@@ -124,25 +117,29 @@ def max_clique_vertices(adj, nv: int):
                 bounds.append(color)
         return verts, bounds
 
-    def expand(cand: int):
-        verts, bounds = color_sort(cand)
-        for idx in range(len(verts) - 1, -1, -1):
-            if len(stack) + bounds[idx] <= len(best):
-                return
-            v = verts[idx]
+    # frames[d] is [cand, verts, bounds] at depth d, whose colour classes are
+    # popped from the end; stack[d] is the vertex that opened frame d + 1
+    best: list[int] = []
+    stack: list[int] = []
+    cand = (1 << nv) - 1
+    frames = [[cand, *color_sort(cand)]]
+    while frames:
+        frame = frames[-1]
+        cand, verts, bounds = frame
+        if not verts or len(stack) + bounds[-1] <= len(best):
+            frames.pop()
+            if stack:
+                stack.pop()
+            continue
+        v = verts.pop()
+        bounds.pop()
+        frame[0] = cand & ~(1 << v)
+        sub = cand & radj[v]
+        if sub:
             stack.append(v)
-            sub = cand & radj[v]
-            if sub:
-                expand(sub)
-            elif len(stack) > len(best):
-                best[:] = stack
-            stack.pop()
-            cand &= ~(1 << v)
-
-    try:
-        expand((1 << nv) - 1)
-    finally:
-        sys.setrecursionlimit(limit)
+            frames.append([sub, *color_sort(sub)])
+        elif len(stack) >= len(best):
+            best = stack + [v]
     return sorted(order[i] for i in best)
 
 

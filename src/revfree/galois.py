@@ -168,18 +168,6 @@ class GF:
     def mul(self, x: int, y: int) -> int:
         return self._mul[x][y]
 
-    def pow(self, x: int, exp: int) -> int:
-        if exp < 0:
-            x, exp = self.inv(x), -exp
-        result = 1
-        base = x
-        while exp:
-            if exp & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            exp >>= 1
-        return result
-
     def inv(self, x: int) -> int:
         if x == 0:
             raise ZeroDivisionError("0 has no inverse")

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitmatrix import BinaryMatrix
-from .errors import CapacityError, PreconditionError
+from .errors import CapacityError, PreconditionError, _read_document
 from .galois import GF, MAX_FIELD_ORDER, FieldSpec
 
 # the largest order measured when the guard was set; PG(2,101) builds and
@@ -259,29 +259,11 @@ def plane_to_json_dict(plane: ProjectivePlane) -> dict:
 
 
 def plane_from_json_dict(data: dict) -> ProjectivePlane:
-    try:
-        order = data["order"]
-        points = data["points"]
-        lines = data["lines"]
-    except (KeyError, TypeError) as exc:
-        raise PreconditionError(f"malformed plane document: missing {exc}") from exc
+    order, points, lines = _read_document(data, "plane", ("order",), points=3, lines=None)
     if type(order) is not int or order < 1:
         raise PreconditionError("plane order must be a positive integer")
-    pts = []
-    lns = []
-    try:
-        for idx, pt in enumerate(points):
-            if not (isinstance(pt, (list, tuple)) and len(pt) == 3):
-                raise PreconditionError(f"malformed point points[{idx}]: {pt!r}")
-            if not all(type(v) is int for v in pt):
-                raise PreconditionError(f"non-integer point points[{idx}]: {pt!r}")
-            pts.append(tuple(pt))
-        for idx, line in enumerate(lines):
-            if not isinstance(line, (list, tuple)):
-                raise PreconditionError(f"malformed line lines[{idx}]: {line!r}")
-            if not all(type(j) is int for j in line):
-                raise PreconditionError(f"non-integer line lines[{idx}]: {line!r}")
-            lns.append(tuple(sorted(line)))
-    except TypeError as exc:
-        raise PreconditionError(f"malformed plane document: {exc}") from exc
-    return ProjectivePlane(order=order, points=tuple(pts), lines=tuple(lns))
+    return ProjectivePlane(
+        order=order,
+        points=tuple(map(tuple, points)),
+        lines=tuple(tuple(sorted(line)) for line in lines),
+    )

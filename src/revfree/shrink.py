@@ -36,7 +36,7 @@ otherwise, never silently skipped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .bitmatrix import BinaryMatrix, count_s
 from .errors import InvariantError, PreconditionError
@@ -265,34 +265,24 @@ class ShrinkTrace:
     log2_size_bound_combined: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "initial_size": self.initial_size,
-            "final_size": self.final_size,
-            "steps": [
-                {
-                    "kind": s.kind,
-                    "entry": [s.entry[0] + 1, s.entry[1] + 1],
-                    "size_before": s.size_before,
-                    "size_after": s.size_after,
-                    "weight_before": s.weight_before,
-                    "weight_after": s.weight_after,
-                    "density": s.density_before,
-                    "emptiness": s.emptiness_after,
-                    "phase": s.phase,
-                    "premise_ok": s.premise_ok,
-                    "avoided_count": s.avoided_count,
-                }
-                for s in self.steps
-            ],
-            "phase_starts": list(self.phase_starts),
-            "heavy_count": self.heavy_count,
-            "final_weight": self.final_weight,
-            "final_density": self.final_density,
-            "log2_size_bound_trivial": self.log2_size_bound_trivial,
-            "log2_size_bound_combined": self.log2_size_bound_combined,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["steps"] = [
+            {
+                "kind": s.kind,
+                "entry": [s.entry[0] + 1, s.entry[1] + 1],
+                "size_before": s.size_before,
+                "size_after": s.size_after,
+                "weight_before": s.weight_before,
+                "weight_after": s.weight_after,
+                "density": s.density_before,
+                "emptiness": s.emptiness_after,
+                "phase": s.phase,
+                "premise_ok": s.premise_ok,
+                "avoided_count": s.avoided_count,
+            }
+            for s in self.steps
+        ]
+        return doc
 
 
 def run_shrink(

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitmatrix import BinaryMatrix
-from .errors import PreconditionError
+from .errors import PreconditionError, _read_document
 
 Word = tuple  # letters as a tuple of ints, 0-based
 
@@ -260,24 +260,10 @@ def code_to_json_dict(code: Code) -> dict:
 
 
 def code_from_json_dict(data: dict) -> Code:
-    try:
-        n = data["n"]
-        k = data["k"]
-        repetition_free = data["repetition_free"]
-        words = data["words"]
-    except (KeyError, TypeError) as exc:
-        raise PreconditionError(f"malformed code document: missing {exc}") from exc
+    n, k, repetition_free, words = _read_document(
+        data, "code", ("n", "k", "repetition_free"), words=None
+    )
     if not (type(n) is int and type(k) is int and isinstance(repetition_free, bool)):
         raise PreconditionError("code n/k must be integers and repetition_free a bool")
-    if not isinstance(words, (list, tuple)):
-        raise PreconditionError("code words must be a list")
-    converted = []
-    for a, w in enumerate(words):
-        if not isinstance(w, (list, tuple)):
-            raise PreconditionError(f"malformed word words[{a}]: {w!r}")
-        word = tuple(c - 1 for c in w if type(c) is int)
-        if len(word) != len(w):
-            i = next(i for i, c in enumerate(w) if type(c) is not int)
-            raise PreconditionError(f"letter words[{a}][{i}] = {w[i]!r} is not an integer")
-        converted.append(word)
-    return Code(n=n, k=k, repetition_free=repetition_free, words=tuple(converted))
+    words = tuple([tuple([c - 1 for c in w]) for w in words])
+    return Code(n=n, k=k, repetition_free=repetition_free, words=words)

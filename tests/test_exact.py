@@ -132,6 +132,19 @@ class TestMaxFullOfFlips:
         finally:
             sys.setrecursionlimit(before)
 
+    def test_never_sets_the_recursion_limit(self, monkeypatch):
+        def refuse(limit):
+            raise AssertionError(f"setrecursionlimit({limit}) called")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        size, _ = max_full_of_flips(2, 9, False)  # 512 vertices
+        assert size == 126
+        # a complete graph is searched to a depth of one frame per vertex
+        nv = sys.getrecursionlimit() + 100
+        full = (1 << nv) - 1
+        adj = [full ^ (1 << v) for v in range(nv)]
+        assert max_clique_vertices(adj, nv) == list(range(nv))
+
     def test_g22(self):
         size, witness = max_full_of_flips(2, 2, True)
         assert size == 2

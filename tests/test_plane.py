@@ -169,6 +169,8 @@ def test_json_rejects_garbage():
         ("points", True, "points[3]"),
         ("lines", 2.9, "lines[3]"),
         ("lines", False, "lines[3]"),
+        ("points", 2.0, "points[3][0] = 2.0"),
+        ("lines", True, "lines[3][0] = True"),
     ],
 )
 def test_json_rejects_non_integers(where, value, location):

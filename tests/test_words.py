@@ -11,6 +11,7 @@ from revfree import (
     find_reverse,
     matrix_to_word,
     overall_matrix,
+    plane_from_json_dict,
     verify_full_of_flips,
     verify_reverse_free,
     word_to_matrix,
@@ -69,6 +70,8 @@ class TestCode:
         [
             ("letter", 1.9, "words[1][0]"),
             ("letter", True, "words[1][0]"),
+            ("word", {}, "words[1] = {}"),
+            ("word", 3, "words[1] = 3"),
             ("n", True, "n/k"),
             ("k", 2.0, "n/k"),
         ],
@@ -77,11 +80,37 @@ class TestCode:
         doc = code_to_json_dict(make_code(3, 2, [(0, 1), (2, 0)]))
         if field == "letter":
             doc["words"][1][0] = value
+        elif field == "word":
+            doc["words"][1] = value
         else:
             doc[field] = value
         with pytest.raises(PreconditionError) as info:
             code_from_json_dict(doc)
         assert location in str(info.value)
+
+
+CODE_DOC = {"n": 3, "k": 2, "repetition_free": True, "words": [[1, 2], [3, 1]]}
+MATRIX_DOC = {"rows": 2, "cols": 2, "ones": [[1, 2], [2, 1]]}
+PLANE_DOC = {"order": 1, "points": [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+             "lines": [[0, 1], [0, 2], [1, 2]]}
+DECODERS = [
+    (code_from_json_dict, CODE_DOC, "words"),
+    (BinaryMatrix.from_json_dict, MATRIX_DOC, "ones"),
+    (plane_from_json_dict, PLANE_DOC, "points"),
+    (plane_from_json_dict, PLANE_DOC, "lines"),
+]
+
+
+@pytest.mark.parametrize("decode, doc, key", DECODERS)
+def test_documents_refuse_an_object_for_a_table(decode, doc, key):
+    with pytest.raises(PreconditionError, match=f"{key} must be a list"):
+        decode({**doc, key: {}})
+
+
+@pytest.mark.parametrize("decode, doc, key", DECODERS)
+def test_documents_accept_tuples(decode, doc, key):
+    as_tuples = {**doc, key: tuple(map(tuple, doc[key]))}
+    assert decode(as_tuples) == decode(doc)
 
 
 class TestFindReverse:
