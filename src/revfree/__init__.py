@@ -54,9 +54,7 @@ from .shrink import (
     ShrinkStep,
     ShrinkTrace,
     avoided_pairs,
-    heavy_step,
     light_entries,
-    light_step,
     run_shrink,
 )
 from .words import (
@@ -102,14 +100,12 @@ __all__ = [
     "factor_prime_power",
     "field_make",
     "find_reverse",
-    "heavy_step",
     "incidence_matrix",
     "is_prime",
     "largest_plane_order",
     "lift_code",
     "lift_size",
     "light_entries",
-    "light_step",
     "matrix_to_word",
     "max_full_of_flips",
     "max_reverse_free",

@@ -35,9 +35,13 @@ def _read_document(data, kind: str, header, **tables):
     bools refused; a failure names its location, e.g. ``words[1][0]``.
     Header values are returned unchecked.
     """
+    if not isinstance(data, dict):
+        raise PreconditionError(
+            f"malformed {kind} document: expected a JSON object, got {type(data).__name__}"
+        )
     try:
         values = [data[key] for key in (*header, *tables)]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise PreconditionError(f"malformed {kind} document: missing {exc}") from exc
     for (key, width), rows in zip(tables.items(), values[len(header):]):
         if type(rows) not in _SEQUENCES:

@@ -19,14 +19,7 @@ MAX_FIELD_ORDER = 1024
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return factor_prime_power(n) == (n, 1)
 
 
 def factor_prime_power(q: int):

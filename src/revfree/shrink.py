@@ -12,9 +12,10 @@ words it keeps, and the statistics follow from the restricted masks.  A
 
 A 1-entry of the overall matrix is *light* when at most |U|/n words support
 it; an *avoided pair* is two 1-entries in distinct rows and distinct
-columns that no single word realizes together.  A light step drops the
-words supporting the smallest light entry; a heavy step keeps exactly the
-words supporting the entry lying in the most avoided pairs.  Each step's
+columns that no single word realizes together.  One routine, ``_step``,
+takes each step: while some entry is light, a light step drops the words
+supporting the smallest light entry; otherwise a heavy step keeps exactly
+the words supporting the entry lying in the most avoided pairs.  Each step's
 guaranteed effects are asserted at runtime and recorded in a trace, along
 with phase boundaries (a new phase starts when the density halves).
 
@@ -22,20 +23,21 @@ Guarantees checked per step:
 
   light:  |U'| >= (1 - 1/n)|U|,  weight' <= weight - 1,  emptiness' >= emptiness
   heavy:  every avoided partner of the chosen entry vanishes; the chosen
-          row becomes a single-1 row; |U'| >= |U|/n when no light entry
-          existed; emptiness' >= emptiness + 1 when the entry lay inside an
-          S occurrence.
+          row becomes a single-1 row; |U'| >= |U|/n (no entry is light);
+          emptiness' >= emptiness + 1 when the entry lay inside an S
+          occurrence.
 
 The heavy-step load guarantee -- the chosen entry lies in at least
 2 n m^3 / (5 sqrt(k)) avoided pairs -- holds under stronger premises
-(density >= 5, no light entry, and an exact S count of at least
-n^2 m^4 / 5); it is asserted when they hold and recorded as premise-not-met
-otherwise, never silently skipped.
+(density >= 5 and an exact S count of at least n^2 m^4 / 5, besides no
+light entry); it is asserted when they hold and recorded as
+premise-not-met otherwise, never silently skipped.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, fields
 
 from .bitmatrix import BinaryMatrix, count_s
@@ -141,36 +143,7 @@ def avoided_pairs(state: ShrinkState):
     return out
 
 
-# -- steps ----------------------------------------------------------------------
-
-
-def light_step(state: ShrinkState) -> ShrinkState:
-    """Remove all words supporting the smallest light entry."""
-    return _apply_light(state, light_entries(state))[0]
-
-
-def heavy_step(state: ShrinkState) -> ShrinkState:
-    """Keep exactly the words supporting the most-loaded avoided entry."""
-    pairs = avoided_pairs(state)
-    had_light = bool(light_entries(state))
-    return _apply_heavy(state, pairs, had_light)[0]
-
-
-def _apply_light(state: ShrinkState, lights):
-    if not lights:
-        raise PreconditionError("no light entry")
-    entry = lights[0]
-    n = state.overall.cols
-    new_state = state.restrict(~state.support_mask(entry))
-    if new_state.size * n < (n - 1) * state.size:
-        raise InvariantError(
-            f"light step kept {new_state.size} of {state.size} words, below (1-1/n)"
-        )
-    if new_state.weight > state.weight - 1:
-        raise InvariantError("light step failed to reduce the overall weight")
-    if new_state.emptiness_z < state.emptiness_z:
-        raise InvariantError("light step decreased emptiness")
-    return new_state, entry
+# -- the step -------------------------------------------------------------------
 
 
 def _entry_in_s_occurrence(state: ShrinkState, entry) -> bool:
@@ -183,21 +156,42 @@ def _entry_in_s_occurrence(state: ShrinkState, entry) -> bool:
     return False
 
 
-def _apply_heavy(state: ShrinkState, pairs, had_light):
+def _step(state: ShrinkState):
+    """The procedure's next step from a nonempty state, or None when no
+    entry is light and no pair is avoided.
+
+    Returns ``(new_state, kind, entry, premise_ok, avoided_count)``.  A light
+    step is taken on the smallest light entry whenever one exists; otherwise
+    the heavy step is taken.  Every guarantee of the step taken is asserted.
+    """
+    n = state.overall.cols
+    lights = light_entries(state)
+    if lights:
+        entry = lights[0]
+        new_state = state.restrict(~state.support_mask(entry))
+        if new_state.size * n < (n - 1) * state.size:
+            raise InvariantError(
+                f"light step kept {new_state.size} of {state.size} words, below (1-1/n)"
+            )
+        if new_state.weight > state.weight - 1:
+            raise InvariantError("light step failed to reduce the overall weight")
+        if new_state.emptiness_z < state.emptiness_z:
+            raise InvariantError("light step decreased emptiness")
+        return new_state, "light", entry, True, None
+
+    pairs = avoided_pairs(state)
     if not pairs:
-        raise PreconditionError("no heavy candidate: no avoided pair exists")
-    counts: dict = {}
-    for e1, e2 in pairs:
-        counts[e1] = counts.get(e1, 0) + 1
-        counts[e2] = counts.get(e2, 0) + 1
+        return None
+    # a generator, not itertools.chain: the first Counter over a chain adds a
+    # Mapping-check cache entry mid-run that pins ~2 MB of a 60K-word run's heap
+    counts = Counter(entry for pair in pairs for entry in pair)
     best_count = max(counts.values())
     entry = min(e for e, cnt in counts.items() if cnt == best_count)
 
-    n = state.overall.cols
     k = state.overall.rows
     m = state.density_m
     premise_ok = False
-    if not had_light and m >= 5.0:
+    if m >= 5.0:
         s_exact = count_s(state.overall).exact_count
         if s_exact >= n * n * m ** 4 / 5.0:
             premise_ok = True
@@ -220,13 +214,13 @@ def _apply_heavy(state: ShrinkState, pairs, had_light):
         raise InvariantError("heavy step left more than one 1 in the chosen row")
     if new_state.weight >= state.weight:
         raise InvariantError("heavy step failed to reduce the overall weight")
-    if not had_light and new_state.size * n < state.size:
+    if new_state.size * n < state.size:
         raise InvariantError(
             f"heavy step kept {new_state.size} of {state.size} words, below 1/n"
         )
     if in_s and new_state.emptiness_z < state.emptiness_z + 1:
         raise InvariantError("heavy step on an S entry failed to raise emptiness")
-    return new_state, entry, best_count, premise_ok
+    return new_state, "heavy", entry, premise_ok, best_count
 
 
 # -- the full procedure ----------------------------------------------------------
@@ -313,50 +307,34 @@ def run_shrink(
     phase_starts: list[int] = []
     phase = 0
     anchor = None
-    heavy_count = 0
-    while state.size > 0:
-        m = state.density_m
-        if m < density_threshold:
+    while state.size > 0 and state.density_m >= density_threshold:
+        step = _step(state)
+        if step is None:
             break
-        lights = light_entries(state)
-        pairs = None
-        if not lights:
-            pairs = avoided_pairs(state)
-            if not pairs:
-                break
-        index = len(steps) + 1
+        new_state, kind, entry, premise_ok, avoided_count = step
+        m = state.density_m
         if anchor is None or m <= anchor / 2.0:
             phase += 1
             anchor = m
-            phase_starts.append(index)
-        before = state
-        if lights:
-            state, entry = _apply_light(before, lights)
-            kind = "light"
-            premise_ok = True
-            avoided_count = None
-        else:
-            state, entry, avoided_count, premise_ok = _apply_heavy(
-                before, pairs, had_light=False
-            )
-            kind = "heavy"
-            heavy_count += 1
+            phase_starts.append(len(steps) + 1)
         steps.append(
             ShrinkStep(
                 kind=kind,
                 entry=entry,
-                size_before=before.size,
-                size_after=state.size,
-                weight_before=before.weight,
-                weight_after=state.weight,
-                density_before=before.density_m,
-                emptiness_before=before.emptiness_z,
-                emptiness_after=state.emptiness_z,
+                size_before=state.size,
+                size_after=new_state.size,
+                weight_before=state.weight,
+                weight_after=new_state.weight,
+                density_before=m,
+                emptiness_before=state.emptiness_z,
+                emptiness_after=new_state.emptiness_z,
                 phase=phase,
                 premise_ok=premise_ok,
                 avoided_count=avoided_count,
             )
         )
+        state = new_state
+    heavy_count = sum(1 for s in steps if s.kind == "heavy")
     n, k = code.n, code.k
     final_density = state.density_m
     bound_m = density_threshold if final_density < density_threshold else final_density

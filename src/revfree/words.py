@@ -265,5 +265,31 @@ def code_from_json_dict(data: dict) -> Code:
     )
     if not (type(n) is int and type(k) is int and isinstance(repetition_free, bool)):
         raise PreconditionError("code n/k must be integers and repetition_free a bool")
-    words = tuple([tuple([c - 1 for c in w]) for w in words])
-    return Code(n=n, k=k, repetition_free=repetition_free, words=words)
+    internal = tuple([tuple([c - 1 for c in w]) for w in words])
+    try:
+        return Code(n=n, k=k, repetition_free=repetition_free, words=internal)
+    except PreconditionError as exc:
+        if n < 1 or k < 1:
+            raise
+        # valid documents skip this pass; a failure is located in wire terms
+        fault = _first_wire_fault(words, n, k, repetition_free)
+        raise PreconditionError(f"malformed code document: {fault}") from exc
+
+
+def _first_wire_fault(words, n: int, k: int, repetition_free: bool) -> str:
+    """The first word, in ``Code``'s checking order, that breaks a rule,
+    named by its index and shown with its 1-based letters."""
+    first = {}
+    for a, w in enumerate(words):
+        w = list(w)
+        if len(w) != k:
+            return f"words[{a}] = {w} does not have length {k}"
+        for i, c in enumerate(w):
+            if not 1 <= c <= n:
+                return f"words[{a}][{i}] = {c} is not a letter in 1..{n}"
+        if repetition_free and len(set(w)) != k:
+            return f"words[{a}] = {w} repeats a letter in a repetition-free code"
+        key = tuple(w)
+        if key in first:
+            return f"words[{a}] = {w} is the same as words[{first[key]}]"
+        first[key] = a

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+import revfree
 from revfree.cli import main
 
 
@@ -384,6 +385,20 @@ class TestUsageErrors:
         assert code == 2
         assert "words[1][1]" in err
 
+    def test_document_that_is_not_an_object(self, capsys, tmp_path):
+        code_path = tmp_path / "code.json"
+        write_json(code_path, [1, 2])
+        code, _, err = run_cli(capsys, "verify", "reverse-free", "--in", str(code_path))
+        assert code == 2
+        assert "malformed code document: expected a JSON object, got list" in err
+
+    def test_letter_outside_alphabet_in_wire_terms(self, capsys, tmp_path):
+        code_path = tmp_path / "code.json"
+        write_code(code_path, 3, 2, [[1, 2], [3, 4]])
+        code, _, err = run_cli(capsys, "verify", "reverse-free", "--in", str(code_path))
+        assert code == 2
+        assert "words[1][1] = 4 is not a letter in 1..3" in err
+
 
 def test_module_entry_point(tmp_path):
     result = subprocess.run(
@@ -403,6 +418,12 @@ def test_cli_import_leaves_numpy_out():
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "False"
+
+
+def test_every_export_resolves_once():
+    names = revfree.__all__
+    assert sorted(set(names)) == sorted(names), "a name is exported twice"
+    assert [name for name in names if not hasattr(revfree, name)] == []
 
 
 @pytest.mark.parametrize(

@@ -11,15 +11,12 @@ from hypothesis import strategies as st
 from revfree import (
     Code,
     ShrinkState,
-    avoided_pairs,
-    heavy_step,
-    light_entries,
-    light_step,
     run_shrink,
     verify_full_of_flips,
     verify_reverse_free,
 )
 from revfree import words as words_module
+from revfree.shrink import _step
 from revfree.words import find_reverse, matrix_to_word, reverses_after, word_to_matrix
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None)
@@ -230,16 +227,14 @@ def assert_matches_rebuild(state):
 
 
 def shrink_states(code):
-    """Every state of a threshold-0 shrink run, light steps first."""
+    """Every state of a threshold-0 shrink run."""
     state = ShrinkState.from_code(code)
     states = [state]
     while state.size:
-        if light_entries(state):
-            state = light_step(state)
-        elif avoided_pairs(state):
-            state = heavy_step(state)
-        else:
+        step = _step(state)
+        if step is None:
             break
+        state = step[0]
         states.append(state)
     return states
 

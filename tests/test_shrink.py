@@ -6,14 +6,14 @@ import pytest
 
 from revfree import (
     Code,
+    InvariantError,
     PreconditionError,
     ShrinkState,
     avoided_pairs,
-    heavy_step,
     light_entries,
-    light_step,
     run_shrink,
 )
+from revfree.shrink import _step
 from revfree.words import find_reverse, overall_matrix
 
 
@@ -137,7 +137,8 @@ class TestAvoidedPairs:
 class TestLightStep:
     def test_example(self):
         state = ShrinkState.from_code(make_code(3, 2, THREE_WORD_CODE))
-        after = light_step(state)
+        after, kind, entry, _, _ = _step(state)
+        assert (kind, entry) == ("light", (0, 1))
         assert after.code.words == ((0, 1), (0, 2))
         assert after.size == 2
         assert after.weight == 3
@@ -152,33 +153,52 @@ class TestLightStep:
             budget = state.weight
             while state.size and light_entries(state):
                 previous = state.weight
-                state = light_step(state)
+                state, kind, _, _, _ = _step(state)
+                assert kind == "light"
                 assert state.weight < previous
                 budget -= 1
                 assert budget >= 0
 
     def test_requires_light_entry(self):
+        # a singleton has no light entry and no avoided pair: no step applies
         state = ShrinkState.from_code(make_code(3, 2, [(0, 1)]))
-        with pytest.raises(PreconditionError):
-            light_step(state)
+        assert light_entries(state) == [] and avoided_pairs(state) == []
+        assert _step(state) is None
 
 
 class TestHeavyStep:
     def test_example(self):
-        state = ShrinkState.from_code(make_code(3, 2, MATCHING_CODE))
-        after = heavy_step(state)
-        # tie on avoided counts; lexicographically smallest entry (0,0) wins,
-        # keeping the single word with letter 0 in position 0
-        assert after.code.words == ((0, 1),)
+        first = ShrinkState.from_code(make_code(3, 2, MATCHING_CODE))
+        state, kind, _, _, _ = _step(first)
+        assert kind == "light"
+        assert light_entries(state) == []
+        after, kind, entry, premise_ok, avoided_count = _step(state)
+        # the one avoided pair is ((0,1), (1,0)); of the tied entries the
+        # smallest, (0,1), wins, keeping the single word with letter 1 in
+        # position 0
+        assert (kind, entry, avoided_count) == ("heavy", (0, 1), 1)
+        assert not premise_ok
+        assert after.code.words == ((1, 2),)
         assert after.weight == 2
-        assert after.overall.get(1, 2) == 0  # the avoided partner vanished
+        assert after.overall.get(1, 0) == 0  # the avoided partner vanished
         assert after.overall.row_weight(0) == 1
 
     def test_requires_avoided_pair(self):
+        # no entry is light and no pair is avoided: no step applies
         state = ShrinkState.from_code(make_code(3, 2, [(0, 1), (0, 2)]))
-        with pytest.raises(PreconditionError) as info:
-            heavy_step(state)
-        assert "no heavy candidate" in str(info.value)
+        assert light_entries(state) == [] and avoided_pairs(state) == []
+        assert _step(state) is None
+
+    def test_asserts_it_keeps_a_1_over_n_share(self, monkeypatch, lifted_fano_code):
+        # no entry of the lift is light, so the step is heavy; a restriction
+        # that keeps only the first supporting word keeps 1 < 3072/14 words
+        state = ShrinkState.from_code(lifted_fano_code)
+        assert light_entries(state) == []
+        restrict = ShrinkState.restrict
+        monkeypatch.setattr(ShrinkState, "restrict",
+                            lambda self, keep: restrict(self, keep & -keep))
+        with pytest.raises(InvariantError, match="kept 1 of 3072 words, below 1/n"):
+            _step(state)
 
 
 class TestRunShrink:

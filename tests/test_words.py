@@ -88,6 +88,29 @@ class TestCode:
             code_from_json_dict(doc)
         assert location in str(info.value)
 
+    @pytest.mark.parametrize(
+        "words, message",
+        [
+            ([[1, 2], [3, 4]], "words[1][1] = 4 is not a letter in 1..3"),
+            ([[0, 2]], "words[0][0] = 0 is not a letter in 1..3"),
+            ([[1, 2], [3, 1], [1, 2]], "words[2] = [1, 2] is the same as words[0]"),
+            ([[3, 1], [1, 1]],
+             "words[1] = [1, 1] repeats a letter in a repetition-free code"),
+            ([[1, 2], [1, 2, 3]], "words[1] = [1, 2, 3] does not have length 2"),
+        ],
+        ids=["letter-above-n", "letter-zero", "duplicate", "repeated-letter", "length"],
+    )
+    def test_json_reports_bad_words_in_wire_terms(self, words, message):
+        doc = {"n": 3, "k": 2, "repetition_free": True, "words": words}
+        with pytest.raises(PreconditionError) as info:
+            code_from_json_dict(doc)
+        assert str(info.value) == f"malformed code document: {message}"
+
+    def test_json_keeps_the_header_error(self):
+        doc = {"n": 0, "k": 2, "repetition_free": True, "words": [[1, 1]]}
+        with pytest.raises(PreconditionError, match="need n >= 1 and k >= 1"):
+            code_from_json_dict(doc)
+
 
 CODE_DOC = {"n": 3, "k": 2, "repetition_free": True, "words": [[1, 2], [3, 1]]}
 MATRIX_DOC = {"rows": 2, "cols": 2, "ones": [[1, 2], [2, 1]]}
@@ -105,6 +128,19 @@ DECODERS = [
 def test_documents_refuse_an_object_for_a_table(decode, doc, key):
     with pytest.raises(PreconditionError, match=f"{key} must be a list"):
         decode({**doc, key: {}})
+
+
+@pytest.mark.parametrize("data, got", [([1], "list"), ("x", "str"), (3, "int"),
+                                       (None, "NoneType")])
+@pytest.mark.parametrize("decode, kind", [(code_from_json_dict, "code"),
+                                          (BinaryMatrix.from_json_dict, "matrix"),
+                                          (plane_from_json_dict, "plane")])
+def test_documents_must_be_objects(decode, kind, data, got):
+    with pytest.raises(PreconditionError) as info:
+        decode(data)
+    assert str(info.value) == (
+        f"malformed {kind} document: expected a JSON object, got {got}"
+    )
 
 
 @pytest.mark.parametrize("decode, doc, key", DECODERS)
