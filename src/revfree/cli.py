@@ -17,7 +17,7 @@ from dataclasses import asdict
 
 from . import construct, exact, shrink
 from .bitmatrix import BinaryMatrix, count_s, permanent
-from .errors import PreconditionError
+from .errors import InvariantError, PreconditionError
 from .galois import factor_prime_power, field_make
 from .plane import (
     incidence_matrix,
@@ -121,7 +121,7 @@ def _cmd_verify_reverse_free(args) -> int:
     verdicts = {m: verify_reverse_free(code, method=m) for m in methods}
     results = {m: ok for m, (ok, _) in verdicts.items()}
     if len(set(results.values())) > 1:
-        raise RuntimeError(f"verification algorithms disagree: {results}")
+        raise InvariantError(f"verification algorithms disagree: {results}")
     ok = next(iter(results.values()))
     witness = None
     if not ok:

@@ -19,6 +19,7 @@ usual 1..n presentation at the boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .bitmatrix import BinaryMatrix
 from .errors import PreconditionError, _read_document
@@ -41,15 +42,19 @@ class Code:
     words: tuple[Word, ...]
 
     def __post_init__(self):
-        if self.n < 1 or self.k < 1:
+        n, k, repetition_free = self.n, self.k, self.repetition_free
+        if n < 1 or k < 1:
             raise PreconditionError("need n >= 1 and k >= 1")
-        object.__setattr__(self, "words", tuple(tuple(w) for w in self.words))
-        seen = set()
-        for w in self.words:
-            validate_word(w, self.n, self.k, self.repetition_free)
-            if w in seen:
-                raise PreconditionError(f"duplicate word {w}")
-            seen.add(w)
+        words = tuple(map(tuple, self.words))
+        object.__setattr__(self, "words", words)
+        # one C-level pass per rule; the fault is located only on failure
+        if (set(map(len, words)) - {k}
+                or set(map(type, chain.from_iterable(words))) - {int}
+                or (letters := set(chain.from_iterable(words)))
+                and not (0 <= min(letters) and max(letters) < n)
+                or repetition_free and set(map(len, map(set, words))) - {k}
+                or len(set(words)) != len(words)):
+            raise PreconditionError(_first_fault(words, n, k, repetition_free, 0))
 
     def __len__(self):
         return len(self.words)
@@ -58,18 +63,25 @@ class Code:
         return iter(self.words)
 
 
-def validate_word(letters, n: int, k: int | None = None, repetition_free: bool = False):
-    word = tuple(letters)
-    if k is not None and len(word) != k:
-        raise PreconditionError(f"word {word} has length {len(word)}, expected {k}")
-    if not word:
-        raise PreconditionError("words must be nonempty")
-    for c in word:
-        if not isinstance(c, int) or not 0 <= c < n:
-            raise PreconditionError(f"letter {c!r} outside alphabet of size {n}")
-    if repetition_free and len(set(word)) != len(word):
-        raise PreconditionError(f"word {word} repeats a letter in repetition-free mode")
-    return word
+def _first_fault(words, n: int, k: int, repetition_free: bool, base: int) -> str:
+    """The first word that breaks a rule of ``Code``, checked in order:
+    length, each letter (an exact int in base..n-1+base), repeated letters,
+    then a duplicate of an earlier word; named by its index and shown with
+    its letters as given."""
+    first = {}
+    for a, w in enumerate(words):
+        w = list(w)
+        if len(w) != k:
+            return f"words[{a}] = {w} does not have length {k}"
+        for i, c in enumerate(w):
+            if type(c) is not int or not base <= c < n + base:
+                return f"words[{a}][{i}] = {c!r} is not a letter in {base}..{n - 1 + base}"
+        if repetition_free and len(set(w)) != k:
+            return f"words[{a}] = {w} repeats a letter in a repetition-free code"
+        key = tuple(w)
+        if key in first:
+            return f"words[{a}] = {w} is the same as words[{first[key]}]"
+        first[key] = a
 
 
 # -- the reverse relation -----------------------------------------------------
@@ -109,7 +121,10 @@ def find_reverse(w, x):
     Letters are nonnegative integers."""
     if len(w) != len(x):
         raise PreconditionError(f"length mismatch: {len(w)} vs {len(x)}")
-    n = max((*w, *x), default=-1) + 1
+    letters = (*w, *x)
+    if min(letters, default=0) < 0:
+        raise PreconditionError(f"letter {min(letters)} is negative")
+    n = max(letters, default=-1) + 1
     for _, ij in reverses_after((w, x), 0, n):
         return ij
     return None
@@ -218,7 +233,7 @@ def verify_full_of_flips(code: Code):
 
 def word_to_matrix(word, n: int) -> BinaryMatrix:
     """The k x n matrix with a single 1 per row at (i, word_i)."""
-    w = validate_word(word, n)
+    (w,) = Code(n=n, k=len(word), repetition_free=False, words=(word,)).words
     return BinaryMatrix(len(w), n, [1 << c for c in w])
 
 
@@ -272,24 +287,6 @@ def code_from_json_dict(data: dict) -> Code:
         if n < 1 or k < 1:
             raise
         # valid documents skip this pass; a failure is located in wire terms
-        fault = _first_wire_fault(words, n, k, repetition_free)
+        fault = _first_fault(words, n, k, repetition_free, 1)
         raise PreconditionError(f"malformed code document: {fault}") from exc
 
-
-def _first_wire_fault(words, n: int, k: int, repetition_free: bool) -> str:
-    """The first word, in ``Code``'s checking order, that breaks a rule,
-    named by its index and shown with its 1-based letters."""
-    first = {}
-    for a, w in enumerate(words):
-        w = list(w)
-        if len(w) != k:
-            return f"words[{a}] = {w} does not have length {k}"
-        for i, c in enumerate(w):
-            if not 1 <= c <= n:
-                return f"words[{a}][{i}] = {c} is not a letter in 1..{n}"
-        if repetition_free and len(set(w)) != k:
-            return f"words[{a}] = {w} repeats a letter in a repetition-free code"
-        key = tuple(w)
-        if key in first:
-            return f"words[{a}] = {w} is the same as words[{first[key]}]"
-        first[key] = a

@@ -202,6 +202,22 @@ class TestVerifyCommands:
         assert code == 0
         assert json.loads(out)["ok"] is True
 
+    def test_disagreeing_verifiers_raise_invariant_error(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        real = revfree.cli.verify_reverse_free
+
+        def signature_disagrees(code, method="pairwise"):
+            if method == "signature":
+                return False, (0, 1, 0, 1)
+            return real(code, method=method)
+
+        monkeypatch.setattr(revfree.cli, "verify_reverse_free", signature_disagrees)
+        code_path = tmp_path / "code.json"
+        write_code(code_path, 3, 3, [[1, 2, 3], [2, 3, 1], [3, 1, 2]])
+        with pytest.raises(revfree.InvariantError, match="verification algorithms disagree"):
+            main(["verify", "reverse-free", "--in", str(code_path), "--method", "both"])
+
     def test_default_both_reports_first_reverse_in_a_lift(
         self, capsys, tmp_path, lifted_fano_code
     ):

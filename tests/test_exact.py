@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 from itertools import permutations
 
@@ -160,12 +161,30 @@ class TestMaxFullOfFlips:
             assert max_full_of_flips(n, 1, True)[0] == 1
 
     def test_product_inequality(self):
-        # G(n,n) * F(n,n) <= n!, tight at n = 3
-        for n in (2, 3, 4):
-            f = max_reverse_free(n, n, True)[0]
-            g = max_full_of_flips(n, n, True)[0]
-            assert f * g <= math.factorial(n)
+        # the conflict graph is vertex-transitive, so alpha * omega <= |V|:
+        # F(n,k) * G(n,k) <= n!/(n-k)!, tight at n = k = 3
+        cases = [(n, k) for n in range(2, 6) for k in range(2, n + 1)] + [(6, 2), (7, 2)]
+        for n, k in cases:
+            f = max_reverse_free(n, k, True)[0]
+            g = max_full_of_flips(n, k, True)[0]
+            assert f * g <= math.perm(n, k), (n, k)
         assert max_reverse_free(3, 3, True)[0] * max_full_of_flips(3, 3, True)[0] == 6
+
+
+def test_clique_search_matches_networkx_above_the_oracle_limit():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(7)
+    for _ in range(200):
+        nv = rng.randint(21, 40)
+        density = rng.choice((0.3, 0.5, 0.7, 0.9))
+        graph = nx.Graph()
+        graph.add_nodes_from(range(nv))
+        graph.add_edges_from((u, v) for u in range(nv) for v in range(u + 1, nv)
+                             if rng.random() < density)
+        adj = [sum(1 << u for u in graph[v]) for v in range(nv)]
+        clique = max_clique_vertices(adj, nv)
+        assert len(clique) == nx.max_weight_clique(graph, weight=None)[1]
+        assert all(adj[u] >> v & 1 for u in clique for v in clique if u != v)
 
 
 class TestNaiveOracle:

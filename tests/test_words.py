@@ -1,6 +1,9 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revfree import (
     BinaryMatrix,
@@ -38,6 +41,93 @@ def random_code(rng, repetition_free):
     return make_code(n, k, sorted(words), repetition_free)
 
 
+def validate_word(letters, n, k=None, repetition_free=False):
+    """Reference: the word rule checked one word and one letter at a time
+    (a bool letter passes ``isinstance``)."""
+    word = tuple(letters)
+    if k is not None and len(word) != k:
+        raise PreconditionError(f"word {word} has length {len(word)}, expected {k}")
+    if not word:
+        raise PreconditionError("words must be nonempty")
+    for c in word:
+        if not isinstance(c, int) or not 0 <= c < n:
+            raise PreconditionError(f"letter {c!r} outside alphabet of size {n}")
+    if repetition_free and len(set(word)) != len(word):
+        raise PreconditionError(f"word {word} repeats a letter in repetition-free mode")
+    return word
+
+
+def reference_first_fault(words, n, k, repetition_free):
+    """Index of the first word the reference loop refuses, else None."""
+    seen = set()
+    for a, w in enumerate(words):
+        try:
+            w = validate_word(w, n, k, repetition_free)
+        except PreconditionError:
+            return a
+        if w in seen:
+            return a
+        seen.add(w)
+    return None
+
+
+FAULTS = ("length", "negative", "letter n", "float", "bool", "repeat", "duplicate")
+
+
+@st.composite
+def faulty_word_lists(draw):
+    """(n, k, repetition_free, words): valid distinct words with up to three
+    injected faults of the kinds in FAULTS."""
+    repetition_free = draw(st.booleans())
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, n if repetition_free else 6))
+    if repetition_free:
+        word = st.permutations(range(n)).map(lambda p: list(p[:k]))
+    else:
+        word = st.lists(st.integers(0, n - 1), min_size=k, max_size=k)
+    words = draw(st.lists(word, min_size=1, max_size=8, unique_by=tuple))
+    for fault in draw(st.lists(st.sampled_from(FAULTS), max_size=3)):
+        a = draw(st.integers(0, len(words) - 1))
+        w = words[a] = list(words[a])
+        i = draw(st.integers(0, k - 1))
+        if fault == "length":
+            w[i:] = [] if draw(st.booleans()) else [*w[i:], 0]
+        elif fault == "duplicate":
+            words.insert(draw(st.integers(a + 1, len(words))), list(w))
+        elif i < len(w):
+            w[i] = {"negative": -1, "letter n": n, "float": 1.5, "bool": True,
+                    "repeat": w[0]}[fault]
+    return n, k, repetition_free, words
+
+
+@settings(max_examples=300, deadline=None)
+@given(faulty_word_lists())
+def test_code_refuses_what_the_reference_refuses(spec):
+    n, k, repetition_free, words = spec
+    expected = reference_first_fault(words, n, k, repetition_free)
+    # the one deliberate difference: a letter must be an exact int, so a
+    # bool letter is refused where the reference read True as 1
+    has_bool = [a for a, w in enumerate(words) if bool in map(type, w)]
+    if has_bool:
+        expected = min(has_bool[0], len(words) if expected is None else expected)
+    try:
+        Code(n=n, k=k, repetition_free=repetition_free, words=words)
+    except PreconditionError as exc:
+        assert int(re.match(r"words\[(\d+)\]", str(exc)).group(1)) == expected
+    else:
+        assert expected is None
+    if all(type(c) is int for w in words for c in w):
+        doc = {"n": n, "k": k, "repetition_free": repetition_free,
+               "words": [[c + 1 for c in w] for w in words]}
+        try:
+            code_from_json_dict(doc)
+        except PreconditionError as exc:
+            found = re.match(r"malformed code document: words\[(\d+)\]", str(exc))
+            assert int(found.group(1)) == expected
+        else:
+            assert expected is None
+
+
 class TestCode:
     def test_rejects_duplicates(self):
         with pytest.raises(PreconditionError):
@@ -54,6 +144,26 @@ class TestCode:
     def test_rejects_repeats_in_repetition_free_mode(self):
         with pytest.raises(PreconditionError):
             make_code(3, 2, [(1, 1)])
+
+    @pytest.mark.parametrize(
+        "words, message",
+        [
+            ([(0, 1), (2, 3)], "words[1][1] = 3 is not a letter in 0..2"),
+            ([(0, -1)], "words[0][1] = -1 is not a letter in 0..2"),
+            ([(0, 1), (True, 0)], "words[1][0] = True is not a letter in 0..2"),
+            ([(0, 1.5)], "words[0][1] = 1.5 is not a letter in 0..2"),
+            ([(0, 1), (2, 0), (0, 1)], "words[2] = [0, 1] is the same as words[0]"),
+            ([(2, 0), (0, 0)],
+             "words[1] = [0, 0] repeats a letter in a repetition-free code"),
+            ([(0, 1), (0, 1, 2)], "words[1] = [0, 1, 2] does not have length 2"),
+        ],
+        ids=["letter-n", "negative", "bool", "float", "duplicate", "repeated-letter",
+             "length"],
+    )
+    def test_names_the_first_bad_word(self, words, message):
+        with pytest.raises(PreconditionError) as info:
+            make_code(3, 2, words)
+        assert str(info.value) == message
 
     def test_allows_repeats_otherwise(self):
         code = make_code(3, 2, [(1, 1)], repetition_free=False)
@@ -166,6 +276,11 @@ class TestFindReverse:
         with pytest.raises(PreconditionError):
             find_reverse((0, 1), (0, 1, 2))
 
+    def test_refuses_negative_letters(self):
+        # -1 would index the last letter's slot and report a reverse at (1, 0)
+        with pytest.raises(PreconditionError, match="letter -1 is negative"):
+            find_reverse((-1, 2, 5), (2, 5, 0))
+
     def test_symmetric(self):
         rng = random.Random(1)
         for _ in range(500):
@@ -275,6 +390,13 @@ class TestWordMatrixBijection:
             n = rng.randint(1, 8)
             w = tuple(rng.randrange(n) for _ in range(k))
             assert matrix_to_word(word_to_matrix(w, n)) == w
+
+    def test_validates_through_code(self):
+        with pytest.raises(PreconditionError, match="need n >= 1 and k >= 1"):
+            word_to_matrix((), 3)
+        with pytest.raises(PreconditionError) as info:
+            word_to_matrix((0, 3), 3)
+        assert str(info.value) == "words[0][1] = 3 is not a letter in 0..2"
 
     def test_rejects_bad_rows(self):
         with pytest.raises(PreconditionError):
