@@ -62,11 +62,9 @@ from .words import (
     code_from_json_dict,
     code_to_json_dict,
     find_reverse,
-    matrix_to_word,
     overall_matrix,
     verify_full_of_flips,
     verify_reverse_free,
-    word_to_matrix,
 )
 
 __version__ = "0.1.0"
@@ -106,7 +104,6 @@ __all__ = [
     "lift_code",
     "lift_size",
     "light_entries",
-    "matrix_to_word",
     "max_full_of_flips",
     "max_reverse_free",
     "naive_subset_oracle",
@@ -125,5 +122,4 @@ __all__ = [
     "sample_plane_permutations",
     "verify_full_of_flips",
     "verify_reverse_free",
-    "word_to_matrix",
 ]

@@ -34,6 +34,8 @@ class BinaryMatrix:
     __slots__ = ("rows", "cols", "_row_bits", "_col_bits")
 
     def __init__(self, rows: int, cols: int, row_bits):
+        if not (type(rows) is int and type(cols) is int):
+            raise PreconditionError("matrix rows/cols must be integers")
         if rows < 1 or cols < 1:
             raise PreconditionError("matrix must have at least one row and one column")
         row_bits = tuple(row_bits)
@@ -41,8 +43,8 @@ class BinaryMatrix:
             raise PreconditionError(f"expected {rows} row masks, got {len(row_bits)}")
         limit = 1 << cols
         for r, bits in enumerate(row_bits):
-            if not 0 <= bits < limit:
-                raise PreconditionError(f"row {r} mask out of range for {cols} columns")
+            if type(bits) is not int or not 0 <= bits < limit:
+                raise PreconditionError(f"row {r} mask {bits!r} is not an int in [0, 2^{cols})")
         self.rows = rows
         self.cols = cols
         self._row_bits = row_bits
@@ -187,44 +189,28 @@ def contains(haystack: BinaryMatrix, pattern: BinaryMatrix):
             f"matrix {haystack.rows}x{haystack.cols}"
         )
     full = (1 << haystack.cols) - 1
+    row_bits = haystack.row_masks()
     pat_cols = pattern.col_masks()
     for rowsel in combinations(range(haystack.rows), pattern.rows):
-        # allowed[t] = haystack columns usable at pattern column t: the AND of
-        # the selected rows where the pattern has a 1 in column t.
-        allowed = []
-        for t in range(pattern.cols):
-            mask = full
-            need = pat_cols[t]
+        # pattern column t takes the lowest haystack column above the previous
+        # pick where every selected row has a 1 wherever column t has one; by
+        # induction that is the least column any increasing pick can use at t,
+        # so this fails only when no pick exists and otherwise is the smallest
+        colsel = []
+        lo = 0
+        for need in pat_cols:
+            mask = full >> lo << lo
             while need:
                 low = need & -need
-                mask &= haystack.row_mask(rowsel[low.bit_length() - 1])
+                mask &= row_bits[rowsel[low.bit_length() - 1]]
                 need ^= low
-            allowed.append(mask)
-        colsel = _smallest_increasing_transversal(allowed)
-        if colsel is not None:
-            return rowsel, colsel
+            if not mask:
+                break
+            lo = (mask & -mask).bit_length()
+            colsel.append(lo - 1)
+        else:
+            return rowsel, tuple(colsel)
     return None
-
-
-def _smallest_increasing_transversal(allowed):
-    """Lexicographically smallest strictly increasing pick from the masks."""
-    choice = []
-
-    def rec(t, lo):
-        if t == len(allowed):
-            return True
-        mask = (allowed[t] >> lo) << lo
-        while mask:
-            low = mask & -mask
-            c = low.bit_length() - 1
-            choice.append(c)
-            if rec(t + 1, c + 1):
-                return True
-            choice.pop()
-            mask ^= low
-        return False
-
-    return tuple(choice) if rec(0, 0) else None
 
 
 # -- S-occurrence counting ---------------------------------------------------

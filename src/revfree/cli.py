@@ -110,11 +110,6 @@ def _cmd_construct_lift(args) -> int:
     return 0
 
 
-def _verify_payload(witness_dict, ok: bool, prop: str) -> int:
-    _emit({"property": prop, "ok": ok, "witness": witness_dict}, None)
-    return 0 if ok else 1
-
-
 def _cmd_verify_reverse_free(args) -> int:
     code = _load_code(args.in_path)
     methods = ("pairwise", "signature") if args.method == "both" else (args.method,)
@@ -131,7 +126,8 @@ def _cmd_verify_reverse_free(args) -> int:
             "words": [[c + 1 for c in code.words[a]], [c + 1 for c in code.words[b]]],
             "positions": [i + 1, j + 1],
         }
-    return _verify_payload(witness, ok, "reverse-free")
+    _emit({"property": "reverse-free", "ok": ok, "witness": witness}, None)
+    return 0 if ok else 1
 
 
 def _cmd_verify_full_of_flips(args) -> int:
@@ -144,7 +140,8 @@ def _cmd_verify_full_of_flips(args) -> int:
             "word_indices": [a, b],
             "words": [[c + 1 for c in code.words[a]], [c + 1 for c in code.words[b]]],
         }
-    return _verify_payload(witness, ok, "full-of-flips")
+    _emit({"property": "full-of-flips", "ok": ok, "witness": witness}, None)
+    return 0 if ok else 1
 
 
 def _cmd_matrix_count_s(args) -> int:

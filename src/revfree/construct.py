@@ -65,6 +65,8 @@ def _check_matching_host(matrix: BinaryMatrix):
 
 
 def _check_limit(limit):
+    if limit is not None and type(limit) is not int:
+        raise PreconditionError(f"limit must be an integer, got {limit!r}")
     if limit is not None and limit < 0:
         raise PreconditionError(f"limit must be nonnegative, got {limit}")
 
@@ -142,6 +144,8 @@ def sample_plane_permutations(
     Deterministic for a fixed seed.
     """
     _check_matching_host(matrix)
+    if type(count) is not int:
+        raise PreconditionError(f"count must be an integer, got {count!r}")
     if count < 0:
         raise PreconditionError("count must be nonnegative")
     n = matrix.rows

@@ -35,15 +35,6 @@ class ConflictGraph:
     words: tuple
     adj: tuple
 
-    def vertex_count(self) -> int:
-        return len(self.words)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.adj[u] >> v) & 1)
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
 
 def word_universe_size(n: int, k: int, repetition_free: bool) -> int:
     return math.perm(n, k) if repetition_free else n ** k
@@ -159,7 +150,7 @@ def max_reverse_free(n: int, k: int, repetition_free: bool):
     the complement.
     """
     graph = build_conflict_graph(n, k, repetition_free)
-    nv = graph.vertex_count()
+    nv = len(graph.words)
     full = (1 << nv) - 1
     comp = [full & ~graph.adj[v] & ~(1 << v) for v in range(nv)]
     chosen = max_clique_vertices(comp, nv)
@@ -169,7 +160,7 @@ def max_reverse_free(n: int, k: int, repetition_free: bool):
 def max_full_of_flips(n: int, k: int, repetition_free: bool):
     """Exact maximum full-of-flips code size with a witness code."""
     graph = build_conflict_graph(n, k, repetition_free)
-    chosen = max_clique_vertices(graph.adj, graph.vertex_count())
+    chosen = max_clique_vertices(graph.adj, len(graph.words))
     return len(chosen), _witness_code(graph, chosen)
 
 
@@ -187,7 +178,7 @@ def naive_subset_oracle(graph: ConflictGraph, mode: str) -> int:
     """
     if mode not in ("independent", "clique"):
         raise PreconditionError(f"unknown oracle mode {mode!r}")
-    nv = graph.vertex_count()
+    nv = len(graph.words)
     if nv > ORACLE_VERTEX_LIMIT:
         raise CapacityError(
             f"{nv} vertices exceed the oracle limit {ORACLE_VERTEX_LIMIT}"

@@ -149,9 +149,6 @@ class GF:
                 row.append(_pack(_poly_mod(prod, modulus, p), p))
             self._mul.append(row)
 
-    def elements(self):
-        return range(self.q)
-
     def add(self, x: int, y: int) -> int:
         return self._add[x][y]
 

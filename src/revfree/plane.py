@@ -69,9 +69,6 @@ class PlaneReport:
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    def failed(self):
-        return [c for c in self.checks if not c.ok]
-
 
 def plane_build(spec: FieldSpec) -> ProjectivePlane:
     """Construct PG(2, q) for q = p^e; the result passes plane_verify.

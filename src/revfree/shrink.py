@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 
 from .bitmatrix import BinaryMatrix, count_s
 from .errors import InvariantError, PreconditionError
@@ -108,9 +108,6 @@ class ShrinkState:
     def support_mask(self, entry) -> int:
         return self._support.get(entry, 0)
 
-    def support_count(self, entry) -> int:
-        return self._support.get(entry, 0).bit_count()
-
 
 def light_entries(state: ShrinkState):
     """Overall 1-entries supported by at most |U|/n words, sorted."""
@@ -151,7 +148,7 @@ def _entry_in_s_occurrence(state: ShrinkState, entry) -> bool:
     row_masks = state.overall.row_masks()
     own = row_masks[r] & ~(1 << c)
     for r2, other in enumerate(row_masks):
-        if r2 != r and (other >> c) & 1 and own & other & ~(1 << c):
+        if r2 != r and (other >> c) & 1 and own & other:
             return True
     return False
 
@@ -234,9 +231,8 @@ class ShrinkStep:
     size_after: int
     weight_before: int
     weight_after: int
-    density_before: float
-    emptiness_before: int
-    emptiness_after: int
+    density: float  # before the step
+    emptiness: int  # after the step
     phase: int
     premise_ok: bool
     avoided_count: int | None = None
@@ -259,23 +255,9 @@ class ShrinkTrace:
     log2_size_bound_combined: float
 
     def to_json_dict(self) -> dict:
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        doc["steps"] = [
-            {
-                "kind": s.kind,
-                "entry": [s.entry[0] + 1, s.entry[1] + 1],
-                "size_before": s.size_before,
-                "size_after": s.size_after,
-                "weight_before": s.weight_before,
-                "weight_after": s.weight_after,
-                "density": s.density_before,
-                "emptiness": s.emptiness_after,
-                "phase": s.phase,
-                "premise_ok": s.premise_ok,
-                "avoided_count": s.avoided_count,
-            }
-            for s in self.steps
-        ]
+        doc = asdict(self)
+        doc["steps"] = [{**s, "entry": [s["entry"][0] + 1, s["entry"][1] + 1]}
+                        for s in doc["steps"]]
         return doc
 
 
@@ -325,9 +307,8 @@ def run_shrink(
                 size_after=new_state.size,
                 weight_before=state.weight,
                 weight_after=new_state.weight,
-                density_before=m,
-                emptiness_before=state.emptiness_z,
-                emptiness_after=new_state.emptiness_z,
+                density=m,
+                emptiness=new_state.emptiness_z,
                 phase=phase,
                 premise_ok=premise_ok,
                 avoided_count=avoided_count,

@@ -1,4 +1,4 @@
-"""Words, codes, the reverse relation, and word/matrix bijections.
+"""Words, codes, the reverse relation, and a code's overall matrix.
 
 Two words w, x of the same length have a *reverse* at positions i < j when
 w_i != w_j, w_i = x_j and w_j = x_i: the same two distinct letters sit on
@@ -43,6 +43,8 @@ class Code:
 
     def __post_init__(self):
         n, k, repetition_free = self.n, self.k, self.repetition_free
+        if not (type(n) is int and type(k) is int and type(repetition_free) is bool):
+            raise PreconditionError("code n/k must be integers and repetition_free a bool")
         if n < 1 or k < 1:
             raise PreconditionError("need n >= 1 and k >= 1")
         words = tuple(map(tuple, self.words))
@@ -228,26 +230,7 @@ def verify_full_of_flips(code: Code):
     return True, None
 
 
-# -- word/matrix bijections ---------------------------------------------------
-
-
-def word_to_matrix(word, n: int) -> BinaryMatrix:
-    """The k x n matrix with a single 1 per row at (i, word_i)."""
-    (w,) = Code(n=n, k=len(word), repetition_free=False, words=(word,)).words
-    return BinaryMatrix(len(w), n, [1 << c for c in w])
-
-
-def matrix_to_word(matrix: BinaryMatrix):
-    """Inverse of word_to_matrix; rejects rows without exactly one 1."""
-    letters = []
-    for r in range(matrix.rows):
-        mask = matrix.row_mask(r)
-        if mask.bit_count() != 1:
-            raise PreconditionError(
-                f"malformed word matrix: row {r} has {mask.bit_count()} ones"
-            )
-        letters.append(mask.bit_length() - 1)
-    return tuple(letters)
+# -- the overall matrix ------------------------------------------------------
 
 
 def overall_matrix(code: Code) -> BinaryMatrix:
@@ -278,15 +261,13 @@ def code_from_json_dict(data: dict) -> Code:
     n, k, repetition_free, words = _read_document(
         data, "code", ("n", "k", "repetition_free"), words=None
     )
-    if not (type(n) is int and type(k) is int and isinstance(repetition_free, bool)):
-        raise PreconditionError("code n/k must be integers and repetition_free a bool")
     internal = tuple([tuple([c - 1 for c in w]) for w in words])
     try:
         return Code(n=n, k=k, repetition_free=repetition_free, words=internal)
     except PreconditionError as exc:
-        if n < 1 or k < 1:
-            raise
-        # valid documents skip this pass; a failure is located in wire terms
+        if not str(exc).startswith("words["):
+            raise  # a header fault reads the same on the wire
+        # valid documents skip this pass; a word fault is located in wire terms
         fault = _first_fault(words, n, k, repetition_free, 1)
         raise PreconditionError(f"malformed code document: {fault}") from exc
 

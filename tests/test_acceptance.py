@@ -15,6 +15,7 @@ import pytest
 
 from revfree import (
     BinaryMatrix,
+    ShrinkState,
     bound_table,
     build_conflict_graph,
     count_s,
@@ -61,7 +62,7 @@ def test_criterion_1_plane_axioms():
         p, e = factor_prime_power(q)
         plane = plane_build(field_make(p, e))
         verdict = plane_verify(plane)
-        assert verdict.ok, (q, verdict.failed())
+        assert verdict.ok, (q, verdict.checks)
         assert {c.axiom for c in verdict.checks} == {"P0", "P1", "P2", "P3", "P4", "P5"}
         assert len(plane.points) == len(plane.lines) == q * q + q + 1
         assert all(len(line) == q + 1 for line in plane.lines)
@@ -228,14 +229,16 @@ def test_criterion_6_shrink_procedure(lifted_fano_code):
     assert deep.heavy_count <= k
     weights = [s.weight_before for s in deep.steps] + [deep.final_weight]
     assert all(a > b for a, b in zip(weights, weights[1:]))
+    emptiness = ShrinkState.from_code(lifted_fano_code).emptiness_z
     for step in deep.steps:
         if step.kind == "light":
             assert step.size_after * n >= (n - 1) * step.size_before
             assert step.weight_after <= step.weight_before - 1
-            assert step.emptiness_after >= step.emptiness_before
+            assert step.emptiness >= emptiness
         else:
             assert step.avoided_count >= 1
             assert step.size_after * n >= step.size_before
+        emptiness = step.emptiness
     jsonschema.validate(json.loads(json.dumps(deep.to_json_dict())), TRACE_SCHEMA)
     elapsed = budget.check("shrink procedure")
     report(6, "shrink terminates with validated per-step guarantees and trace", elapsed)

@@ -72,6 +72,56 @@ def ryser_permanent(matrix):
     return total
 
 
+def reference_contains(haystack, pattern):
+    """Row selections in order, each searched for the lexicographically
+    smallest increasing column pick by recursive backtracking."""
+    full = (1 << haystack.cols) - 1
+    pat_cols = pattern.col_masks()
+    for rowsel in combinations(range(haystack.rows), pattern.rows):
+        allowed = []
+        for need in pat_cols:
+            mask = full
+            for t, r in enumerate(rowsel):
+                if need >> t & 1:
+                    mask &= haystack.row_mask(r)
+            allowed.append(mask)
+        choice = []
+
+        def rec(t, lo):
+            if t == len(allowed):
+                return True
+            for c in range(lo, haystack.cols):
+                if allowed[t] >> c & 1:
+                    choice.append(c)
+                    if rec(t + 1, c + 1):
+                        return True
+                    choice.pop()
+            return False
+
+        if rec(0, 0):
+            return rowsel, tuple(choice)
+    return None
+
+
+@st.composite
+def sparse_matrices(draw, max_rows, max_cols, min_rows=1, min_cols=1):
+    """Matrices whose rows are often all zero, with up to two all-zero columns."""
+    rows = draw(st.integers(min_rows, max_rows))
+    cols = draw(st.integers(min_cols, max_cols))
+    full = (1 << cols) - 1
+    dead = sum(1 << c for c in draw(st.sets(st.integers(0, cols - 1), max_size=2)))
+    masks = draw(st.lists(st.just(0) | st.just(full) | st.integers(0, full),
+                          min_size=rows, max_size=rows))
+    return BinaryMatrix(rows, cols, [mask & ~dead for mask in masks])
+
+
+@st.composite
+def haystacks_and_patterns(draw):
+    haystack = draw(sparse_matrices(6, 8))
+    pattern = draw(sparse_matrices(min(3, haystack.rows), min(3, haystack.cols)))
+    return haystack, pattern
+
+
 def random_matrix(rng, rows, cols):
     return BinaryMatrix(rows, cols, [rng.getrandbits(cols) for _ in range(rows)])
 
@@ -84,6 +134,27 @@ class TestConstruction:
     def test_rejects_empty(self):
         with pytest.raises(PreconditionError):
             BinaryMatrix(0, 3, [])
+
+    @pytest.mark.parametrize(
+        "rows, cols, masks, message",
+        [
+            (1, 2.5, [1], "matrix rows/cols must be integers"),
+            (2.0, 1, [1, 1], "matrix rows/cols must be integers"),
+            (True, 1, [1], "matrix rows/cols must be integers"),
+            (1, True, [1], "matrix rows/cols must be integers"),
+            (1, "2", [1], "matrix rows/cols must be integers"),
+            (1, 2, [1.0], "row 0 mask 1.0 is not an int in [0, 2^2)"),
+            (2, 1, [1, True], "row 1 mask True is not an int in [0, 2^1)"),
+            (1, 2, [4], "row 0 mask 4 is not an int in [0, 2^2)"),
+            (1, 2, [-1], "row 0 mask -1 is not an int in [0, 2^2)"),
+        ],
+        ids=["cols-float", "rows-float", "rows-bool", "cols-bool", "cols-str",
+             "mask-float", "mask-bool", "mask-high", "mask-negative"],
+    )
+    def test_refuses_non_int_header_and_masks(self, rows, cols, masks, message):
+        with pytest.raises(PreconditionError) as info:
+            BinaryMatrix(rows, cols, masks)
+        assert str(info.value) == message
 
     def test_rejects_bad_entry(self):
         with pytest.raises(PreconditionError):
@@ -164,6 +235,17 @@ class TestContains:
         pattern = BinaryMatrix.from_rows([[1, 0], [0, 1]])
         host = BinaryMatrix.all_ones(2, 2)
         assert contains(host, pattern) == ((0, 1), (0, 1))
+
+    @settings(max_examples=400, deadline=None)
+    @given(haystacks_and_patterns())
+    def test_greedy_pick_matches_backtracking(self, case):
+        haystack, pattern = case
+        witness = contains(haystack, pattern)
+        assert witness == reference_contains(haystack, pattern)
+        if witness is not None:
+            rowsel, colsel = witness
+            for r, c in pattern.ones():
+                assert haystack.get(rowsel[r], colsel[c])
 
     def test_agrees_with_exact_count_on_random(self):
         rng = random.Random(42)

@@ -206,6 +206,13 @@ class TestPlanePermutationCode:
         inc = incidence_matrix(plane_build(field_make(*factor_prime_power(q))))
         assert plane_permutation_code(inc, limit).words == recursive_matchings(inc, limit)
 
+    @pytest.mark.parametrize("limit", [0.5, 2.0, True, "1"])
+    def test_limit_must_be_an_int(self, limit):
+        with pytest.raises(PreconditionError, match="limit must be an integer"):
+            plane_permutation_code(BinaryMatrix.identity(3), limit)
+        with pytest.raises(PreconditionError, match="limit must be an integer"):
+            lift_code(Code(n=3, k=3, repetition_free=True, words=[(0, 1, 2)]), 6, limit)
+
     def test_refuses_s_host(self):
         host = BinaryMatrix.all_ones(3, 3)
         with pytest.raises(PreconditionError) as info:
@@ -276,6 +283,11 @@ class TestSampling:
         reference = reference_sample(host, 3, seed=5)
         assert reference.attempts == 300
         assert reference.code.words == ()
+
+    @pytest.mark.parametrize("count", [1.5, 2.0, True, "3", None])
+    def test_count_must_be_an_int(self, count):
+        with pytest.raises(PreconditionError, match="count must be an integer"):
+            sample_plane_permutations(BinaryMatrix.identity(3), count)
 
     def test_zero_count(self, fano_incidence):
         result = sample_plane_permutations(fano_incidence, 0, seed=0)

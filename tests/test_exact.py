@@ -42,23 +42,23 @@ def small_instances(limit):
 class TestConflictGraph:
     def test_s3_structure(self):
         graph = build_conflict_graph(3, 3, True)
-        assert graph.vertex_count() == 6
-        assert all(graph.degree(v) == 3 for v in range(6))
+        assert len(graph.words) == 6
+        assert all(graph.adj[v].bit_count() == 3 for v in range(6))
         for u in range(6):
             for v in range(u + 1, 6):
                 expected = parity(graph.words[u]) != parity(graph.words[v])
-                assert graph.has_edge(u, v) == expected
+                assert bool(graph.adj[u] >> v & 1) == expected
 
     def test_two_permutations(self):
         graph = build_conflict_graph(2, 2, True)
-        assert graph.vertex_count() == 2
-        assert graph.has_edge(0, 1)
+        assert len(graph.words) == 2
+        assert graph.adj[0] >> 1 & 1
 
     def test_length_one_words_never_conflict(self):
         for n in (1, 3, 6):
             graph = build_conflict_graph(n, 1, True)
-            assert graph.vertex_count() == n
-            assert all(graph.degree(v) == 0 for v in range(n))
+            assert len(graph.words) == n
+            assert not any(graph.adj)
 
     def test_vertices_in_lexicographic_order(self):
         graph = build_conflict_graph(3, 2, False)
@@ -71,7 +71,7 @@ class TestConflictGraph:
 
     def test_no_self_loops(self):
         graph = build_conflict_graph(3, 2, False)
-        assert all(not graph.has_edge(v, v) for v in range(graph.vertex_count()))
+        assert not any(adj >> v & 1 for v, adj in enumerate(graph.adj))
 
 
 class TestMaxCliqueKernel:

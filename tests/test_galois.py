@@ -67,7 +67,7 @@ def test_gf_rejects_reducible_modulus():
 @pytest.mark.parametrize("p,e", ACCEPTANCE_ORDERS)
 def test_field_laws_exhaustive(p, e):
     field = GF(field_make(p, e))
-    els = list(field.elements())
+    els = list(range(field.q))
     q = len(els)
     assert q == p ** e
     for a in els:

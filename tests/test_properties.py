@@ -17,7 +17,7 @@ from revfree import (
 )
 from revfree import words as words_module
 from revfree.shrink import _step
-from revfree.words import find_reverse, matrix_to_word, reverses_after, word_to_matrix
+from revfree.words import find_reverse, overall_matrix, reverses_after
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -86,10 +86,14 @@ def test_verifier_verdicts_agree(spec):
 @PROPERTY_SETTINGS
 @given(st.integers(1, 8), st.data())
 def test_word_matrix_round_trip(n, data):
+    """A one-word code's overall matrix is the word's matrix: one 1 per row,
+    at the row's letter."""
     word = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))
-    matrix = word_to_matrix(word, n)
+    matrix = overall_matrix(Code(n=n, k=len(word), repetition_free=False, words=[word]))
     assert (matrix.rows, matrix.cols) == (len(word), n)
-    assert matrix_to_word(matrix) == tuple(word)
+    assert [(mask.bit_count(), mask.bit_length() - 1) for mask in matrix.row_masks()] == [
+        (1, c) for c in word
+    ]
 
 
 @PROPERTY_SETTINGS

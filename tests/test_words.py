@@ -12,12 +12,10 @@ from revfree import (
     code_from_json_dict,
     code_to_json_dict,
     find_reverse,
-    matrix_to_word,
     overall_matrix,
     plane_from_json_dict,
     verify_full_of_flips,
     verify_reverse_free,
-    word_to_matrix,
 )
 
 
@@ -164,6 +162,26 @@ class TestCode:
         with pytest.raises(PreconditionError) as info:
             make_code(3, 2, words)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            {"n": 2.5},
+            {"n": True},
+            {"n": "3"},
+            {"k": 2.0},
+            {"k": True},
+            {"repetition_free": "no"},
+            {"repetition_free": 1},
+            {"repetition_free": None},
+        ],
+        ids=["n-float", "n-bool", "n-str", "k-float", "k-bool", "rf-str", "rf-int", "rf-none"],
+    )
+    def test_refuses_header_of_the_wrong_type(self, header):
+        fields = {"n": 3, "k": 2, "repetition_free": True, **header}
+        with pytest.raises(PreconditionError) as info:
+            Code(words=[(0, 2)], **fields)
+        assert str(info.value) == "code n/k must be integers and repetition_free a bool"
 
     def test_allows_repeats_otherwise(self):
         code = make_code(3, 2, [(1, 1)], repetition_free=False)
@@ -374,37 +392,6 @@ class TestVerifyFullOfFlips:
             assert not (rf and flips)
 
 
-class TestWordMatrixBijection:
-    def test_example(self):
-        m = word_to_matrix((1, 0), 2)
-        assert m == BinaryMatrix.from_rows([[0, 1], [1, 0]])
-
-    def test_example_with_repeat(self):
-        m = word_to_matrix((0, 2), 3)
-        assert m.ones() == [(0, 0), (1, 2)]
-
-    def test_round_trip_random(self):
-        rng = random.Random(5)
-        for _ in range(1000):
-            k = rng.randint(1, 8)
-            n = rng.randint(1, 8)
-            w = tuple(rng.randrange(n) for _ in range(k))
-            assert matrix_to_word(word_to_matrix(w, n)) == w
-
-    def test_validates_through_code(self):
-        with pytest.raises(PreconditionError, match="need n >= 1 and k >= 1"):
-            word_to_matrix((), 3)
-        with pytest.raises(PreconditionError) as info:
-            word_to_matrix((0, 3), 3)
-        assert str(info.value) == "words[0][1] = 3 is not a letter in 0..2"
-
-    def test_rejects_bad_rows(self):
-        with pytest.raises(PreconditionError):
-            matrix_to_word(BinaryMatrix.from_rows([[1, 1], [1, 0]]))
-        with pytest.raises(PreconditionError):
-            matrix_to_word(BinaryMatrix.from_rows([[0, 0], [1, 0]]))
-
-
 class TestOverallMatrix:
     def test_example(self):
         code = make_code(3, 2, [(0, 1), (0, 2)])
@@ -412,7 +399,7 @@ class TestOverallMatrix:
 
     def test_singleton_is_word_matrix(self):
         code = make_code(4, 3, [(2, 0, 3)])
-        assert overall_matrix(code) == word_to_matrix((2, 0, 3), 4)
+        assert overall_matrix(code) == BinaryMatrix(3, 4, [1 << 2, 1 << 0, 1 << 3])
 
     def test_empty_code_rejected(self):
         code = Code(n=2, k=2, repetition_free=True, words=())
