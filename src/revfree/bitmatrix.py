@@ -34,10 +34,7 @@ class BinaryMatrix:
     __slots__ = ("rows", "cols", "_row_bits", "_col_bits")
 
     def __init__(self, rows: int, cols: int, row_bits):
-        if not (type(rows) is int and type(cols) is int):
-            raise PreconditionError("matrix rows/cols must be integers")
-        if rows < 1 or cols < 1:
-            raise PreconditionError("matrix must have at least one row and one column")
+        _check_shape(rows, cols)
         row_bits = tuple(row_bits)
         if len(row_bits) != rows:
             raise PreconditionError(f"expected {rows} row masks, got {len(row_bits)}")
@@ -53,40 +50,9 @@ class BinaryMatrix:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def from_rows(cls, rows) -> "BinaryMatrix":
-        """Build from an iterable of 0/1 row sequences."""
-        rows = [list(r) for r in rows]
-        if not rows:
-            raise PreconditionError("matrix must have at least one row and one column")
-        ncols = len(rows[0])
-        masks = []
-        for r in rows:
-            if len(r) != ncols:
-                raise PreconditionError("ragged rows")
-            mask = 0
-            for c, v in enumerate(r):
-                if v not in (0, 1):
-                    raise PreconditionError(f"entry {v!r} is not 0 or 1")
-                mask |= v << c
-            masks.append(mask)
-        return cls(len(rows), ncols, masks)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BinaryMatrix":
-        return cls(rows, cols, [0] * rows)
-
-    @classmethod
-    def all_ones(cls, rows: int, cols: int) -> "BinaryMatrix":
-        full = (1 << cols) - 1
-        return cls(rows, cols, [full] * rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "BinaryMatrix":
-        return cls(n, n, [1 << i for i in range(n)])
-
-    @classmethod
     def from_ones(cls, rows: int, cols: int, ones) -> "BinaryMatrix":
         """Build from 1-based (row, col) coordinates of the 1-entries."""
+        _check_shape(rows, cols)
         masks = [0] * rows
         for r, c in ones:
             if not (1 <= r <= rows and 1 <= c <= cols):
@@ -147,10 +113,7 @@ class BinaryMatrix:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BinaryMatrix":
-        rows, cols, ones = _read_document(data, "matrix", ("rows", "cols"), ones=2)
-        if not (type(rows) is int and type(cols) is int):
-            raise PreconditionError("matrix rows/cols must be integers")
-        return cls.from_ones(rows, cols, ones)
+        return cls.from_ones(*_read_document(data, "matrix", ("rows", "cols"), ones=2))
 
     # -- dunder ------------------------------------------------------------
 
@@ -170,7 +133,14 @@ class BinaryMatrix:
         return f"BinaryMatrix({self.rows}x{self.cols}, weight={self.weight()})"
 
 
-S_PATTERN = BinaryMatrix.all_ones(2, 2)
+def _check_shape(rows, cols):
+    if not (type(rows) is int and type(cols) is int):
+        raise PreconditionError("matrix rows/cols must be integers")
+    if rows < 1 or cols < 1:
+        raise PreconditionError("matrix must have at least one row and one column")
+
+
+S_PATTERN = BinaryMatrix(2, 2, (3, 3))
 
 
 # -- pattern containment ----------------------------------------------------

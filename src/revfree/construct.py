@@ -64,11 +64,11 @@ def _check_matching_host(matrix: BinaryMatrix):
         )
 
 
-def _check_limit(limit):
-    if limit is not None and type(limit) is not int:
-        raise PreconditionError(f"limit must be an integer, got {limit!r}")
-    if limit is not None and limit < 0:
-        raise PreconditionError(f"limit must be nonnegative, got {limit}")
+def _check_count(name, value):
+    if type(value) is not int:
+        raise PreconditionError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise PreconditionError(f"{name} must be nonnegative, got {value}")
 
 
 def plane_permutation_code(matrix: BinaryMatrix, limit: int | None = None) -> Code:
@@ -79,7 +79,8 @@ def plane_permutation_code(matrix: BinaryMatrix, limit: int | None = None) -> Co
     enumeration, whose size equals the permanent.  Output is reverse-free.
     """
     _check_matching_host(matrix)
-    _check_limit(limit)
+    if limit is not None:
+        _check_count("limit", limit)
     n = matrix.rows
     row_bits = matrix.row_masks()
     words: list[tuple] = []
@@ -144,10 +145,7 @@ def sample_plane_permutations(
     Deterministic for a fixed seed.
     """
     _check_matching_host(matrix)
-    if type(count) is not int:
-        raise PreconditionError(f"count must be an integer, got {count!r}")
-    if count < 0:
-        raise PreconditionError("count must be nonnegative")
+    _check_count("count", count)
     n = matrix.rows
     row_cols = [[c for c in range(n) if mask >> c & 1] for mask in matrix.row_masks()]
     rng = random.Random(seed)
@@ -256,7 +254,8 @@ def lift_code(code: Code, n: int, limit: int | None = None) -> Code:
     k = code.k
     if n < k:
         raise PreconditionError(f"target alphabet {n} smaller than word length {k}")
-    _check_limit(limit)
+    if limit is not None:
+        _check_count("limit", limit)
     classes = residue_classes(n, k)
     lifted = chain.from_iterable(
         product(*(classes[c % k] for c in pi)) for pi in code.words

@@ -41,19 +41,41 @@ def factor_prime_power(q: int):
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Description of GF(p^e).
-
-    ``modulus`` is the ascending coefficient tuple (constant term first) of
-    a monic irreducible degree-e polynomial over GF(p); present iff e > 1.
+    """Description of GF(p^e), refused with ``PreconditionError`` unless p is
+    a prime and e an exact int in 1..``MAX_EXTENSION_DEGREE``, and unless
+    ``modulus``, None iff e = 1, is the ascending coefficient tuple (constant
+    term first) of a monic irreducible degree-e polynomial over GF(p).
     """
 
     p: int
     e: int
     modulus: tuple[int, ...] | None = None
 
+    def __post_init__(self):
+        p, e, modulus = self.p, self.e, self.modulus
+        _check_characteristic_and_degree(p, e)
+        if e == 1:
+            if modulus is not None:
+                raise PreconditionError("a prime field takes no modulus")
+        elif modulus is None or len(modulus) != e + 1:
+            raise PreconditionError("extension field needs a degree-e modulus")
+        elif modulus[-1] != 1:
+            raise PreconditionError("modulus must be monic")
+        elif not _is_irreducible(modulus, p):
+            raise PreconditionError("modulus is reducible")
+
     @property
     def order(self) -> int:
         return self.p ** self.e
+
+
+def _check_characteristic_and_degree(p, e):
+    if type(p) is not int or not is_prime(p):
+        raise PreconditionError(f"{p!r} is not prime")
+    if type(e) is not int or not 1 <= e <= MAX_EXTENSION_DEGREE:
+        raise PreconditionError(
+            f"extension degree must be in 1..{MAX_EXTENSION_DEGREE}, got {e!r}"
+        )
 
 
 def field_make(p: int, e: int) -> FieldSpec:
@@ -61,16 +83,12 @@ def field_make(p: int, e: int) -> FieldSpec:
 
     For e > 1 the modulus is the smallest monic irreducible of degree e,
     ordering candidates by their packed integer value (i.e. comparing
-    coefficient vectors from the highest degree down).
+    coefficient vectors from the highest degree down).  A bad p or e is
+    refused by ``FieldSpec``'s rule before the search starts.
     """
-    if not is_prime(p):
-        raise PreconditionError(f"{p} is not prime")
-    if not 1 <= e <= MAX_EXTENSION_DEGREE:
-        raise PreconditionError(
-            f"extension degree must be in 1..{MAX_EXTENSION_DEGREE}, got {e}"
-        )
+    _check_characteristic_and_degree(p, e)
     if e == 1:
-        return FieldSpec(p, 1, None)
+        return FieldSpec(p, 1)
     for packed in range(p ** e):
         coeffs = _unpack(packed, e, p) + (1,)
         if _is_irreducible(coeffs, p):
@@ -127,13 +145,7 @@ class GF:
         p, e, q = spec.p, spec.e, spec.order
         if q > MAX_FIELD_ORDER:
             raise CapacityError(f"field order {q} is over the limit {MAX_FIELD_ORDER}")
-        modulus = spec.modulus if e > 1 else (0, 1)
-        if modulus is None or len(modulus) != e + 1:
-            raise PreconditionError("extension field needs a degree-e modulus")
-        if modulus[-1] != 1:
-            raise PreconditionError("modulus must be monic")
-        if not _is_irreducible(modulus, p):
-            raise PreconditionError("modulus is reducible")
+        modulus = spec.modulus or (0, 1)
         self.spec, self.p, self.e, self.q = spec, p, e, q
         polys = [_unpack(x, e, p) for x in range(q)]
         self._add = [[_pack([(a + b) % p for a, b in zip(xs, ys)], p) for ys in polys]

@@ -18,18 +18,21 @@ The six axioms checked by :func:`plane_verify`:
   P4  every point lies on exactly r+1 lines
   P5  there are exactly r^2 + r + 1 points and as many lines
 
-P1, P2 and P4 read the incidence matrix as bitmasks: one point mask per line
-(its row) and one line mask per point (its column).  For line i, ORing the
-line masks of i's points gives the lines meeting i at least once and at
-least twice; the first line j > i missing from the first set or present in
-the second fails P1.  P2 is the same pass with points and lines swapped, and
-P4 reads the column weights.  When the standard frame fails P0, the frame
-search prunes with the same masks (see ``_check_p0``).
+A ``ProjectivePlane`` refuses a bad order or point index when it is made,
+so the axioms are checked on well-formed documents only.  P1 to P4 read the
+incidence matrix as bitmasks: one point mask per line (its row) and one line
+mask per point (its column).  For line i, ORing the line masks of i's points
+gives the lines meeting i at least once and at least twice; the first line
+j > i missing from the first set or present in the second fails P1.  P2 is
+the same pass with points and lines swapped, and P3 and P4 read the row and
+column weights.  When the standard frame fails P0, the frame search prunes
+with the same masks (see ``_check_p0``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .bitmatrix import BinaryMatrix
 from .errors import CapacityError, PreconditionError, _read_document
@@ -47,11 +50,25 @@ class ProjectivePlane:
 
     ``points`` are normalized coordinate triples over GF(q) (elements packed
     as integers); ``lines`` are ascending tuples of point indices (0-based).
+    The order must be a positive int and every line entry an int in
+    0..len(points)-1; ``PreconditionError`` names the first bad entry.
     """
 
     order: int
     points: tuple[tuple[int, int, int], ...]
     lines: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        if type(self.order) is not int or self.order < 1:
+            raise PreconditionError("plane order must be a positive integer")
+        npts = len(self.points)
+        # one C-level pass per rule; the entry is located only on failure
+        if (set(map(type, chain.from_iterable(self.lines))) - {int}
+                or (entries := set(chain.from_iterable(self.lines)))
+                and not (0 <= min(entries) and max(entries) < npts)):
+            i, j = next((i, j) for i, line in enumerate(self.lines) for j in line
+                        if type(j) is not int or not 0 <= j < npts)
+            raise PreconditionError(f"lines[{i}] names point {j}, outside 0..{npts - 1}")
 
 
 @dataclass(frozen=True)
@@ -107,39 +124,28 @@ STANDARD_FRAME = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
 def plane_verify(plane: ProjectivePlane) -> PlaneReport:
     """Exhaustively check all six axioms; failures carry a counterexample."""
     npts, nlines, r = len(plane.points), len(plane.lines), plane.order
-    try:
-        line_masks = _line_masks(plane)
-    except PreconditionError:
-        bad = "line references a point index out of range"
-        p0, p1, p2, p4 = (AxiomCheck(a, False, bad) for a in ("P0", "P1", "P2", "P4"))
-    else:
-        # BinaryMatrix holds no empty side; without lines every point mask is 0
-        point_masks = (0,) * npts
-        if npts and nlines:
-            point_masks = BinaryMatrix(nlines, npts, line_masks).col_masks()
-        p0 = _check_p0(plane, line_masks, point_masks)
-        p1 = _check_pairs(
-            "P1", line_masks, point_masks, "lines {} and {} meet in {} points"
-        )
-        p2 = _check_pairs(
-            "P2", point_masks, line_masks, "points {} and {} lie on {} common lines"
-        )
-        p4 = _check_p4(point_masks, r)
-    checks = (p0, p1, p2, _check_p3(plane, r), p4, _check_p5(npts, nlines, r))
+    line_masks = _line_masks(plane)
+    # BinaryMatrix holds no empty side; without lines every point mask is 0
+    point_masks = (0,) * npts
+    if npts and nlines:
+        point_masks = BinaryMatrix(nlines, npts, line_masks).col_masks()
+    checks = (
+        _check_p0(plane, line_masks, point_masks),
+        _check_pairs("P1", line_masks, point_masks, "lines {} and {} meet in {} points"),
+        _check_pairs("P2", point_masks, line_masks, "points {} and {} lie on {} common lines"),
+        _check_degrees("P3", line_masks, r, "line {} has {} points, expected {}"),
+        _check_degrees("P4", point_masks, r, "point {} lies on {} lines, expected {}"),
+        _check_p5(npts, nlines, r),
+    )
     return PlaneReport(checks=checks)
 
 
 def _line_masks(plane):
-    """One point bitmask per line; an index outside the points raises."""
-    npts = len(plane.points)
+    """One point bitmask per line."""
     masks = []
-    for i, line in enumerate(plane.lines):
+    for line in plane.lines:
         mask = 0
         for j in line:
-            if not 0 <= j < npts:
-                raise PreconditionError(
-                    f"lines[{i}] names point {j}, outside 0..{npts - 1}"
-                )
             mask |= 1 << j
         masks.append(mask)
     return masks
@@ -205,21 +211,12 @@ def _check_p0(plane, line_masks, point_masks):
     return AxiomCheck("P0", False, "no 4-point frame meets every line in <= 2 points")
 
 
-def _check_p3(plane, r):
-    for i, line in enumerate(plane.lines):
-        if len(set(line)) != r + 1:
-            return AxiomCheck(
-                "P3", False, f"line {i} has {len(set(line))} points, expected {r + 1}"
-            )
-    return AxiomCheck("P3", True)
-
-
-def _check_p4(point_masks, r):
-    for x, mask in enumerate(point_masks):
+def _check_degrees(axiom, masks, r, detail):
+    """Fail on the first mask without exactly r + 1 bits."""
+    for x, mask in enumerate(masks):
         if mask.bit_count() != r + 1:
-            detail = f"point {x} lies on {mask.bit_count()} lines, expected {r + 1}"
-            return AxiomCheck("P4", False, detail)
-    return AxiomCheck("P4", True)
+            return AxiomCheck(axiom, False, detail.format(x, mask.bit_count(), r + 1))
+    return AxiomCheck(axiom, True)
 
 
 def _check_p5(npts, nlines, r):
@@ -234,8 +231,7 @@ def _check_p5(npts, nlines, r):
 
 
 def incidence_matrix(plane: ProjectivePlane) -> BinaryMatrix:
-    """Line-by-point 0/1 incidence matrix (row i = line i, column j = point j);
-    a line naming a point index outside the points raises ``PreconditionError``."""
+    """Line-by-point 0/1 incidence matrix (row i = line i, column j = point j)."""
     return BinaryMatrix(len(plane.lines), len(plane.points), _line_masks(plane))
 
 
@@ -257,8 +253,6 @@ def plane_to_json_dict(plane: ProjectivePlane) -> dict:
 
 def plane_from_json_dict(data: dict) -> ProjectivePlane:
     order, points, lines = _read_document(data, "plane", ("order",), points=3, lines=None)
-    if type(order) is not int or order < 1:
-        raise PreconditionError("plane order must be a positive integer")
     return ProjectivePlane(
         order=order,
         points=tuple(map(tuple, points)),

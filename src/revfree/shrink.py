@@ -24,8 +24,9 @@ Guarantees checked per step:
   light:  |U'| >= (1 - 1/n)|U|,  weight' <= weight - 1,  emptiness' >= emptiness
   heavy:  every avoided partner of the chosen entry vanishes; the chosen
           row becomes a single-1 row; |U'| >= |U|/n (no entry is light);
-          emptiness' >= emptiness + 1 when the entry lay inside an S
-          occurrence.
+          emptiness' >= emptiness + 1, since the chosen row had at least
+          two 1s (an avoided partner shows a kept word with another letter
+          there) and no row gains a 1.
 
 The heavy-step load guarantee -- the chosen entry lies in at least
 2 n m^3 / (5 sqrt(k)) avoided pairs -- holds under stronger premises
@@ -143,16 +144,6 @@ def avoided_pairs(state: ShrinkState):
 # -- the step -------------------------------------------------------------------
 
 
-def _entry_in_s_occurrence(state: ShrinkState, entry) -> bool:
-    r, c = entry
-    row_masks = state.overall.row_masks()
-    own = row_masks[r] & ~(1 << c)
-    for r2, other in enumerate(row_masks):
-        if r2 != r and (other >> c) & 1 and own & other:
-            return True
-    return False
-
-
 def _step(state: ShrinkState):
     """The procedure's next step from a nonempty state, or None when no
     entry is light and no pair is avoided.
@@ -199,7 +190,6 @@ def _step(state: ShrinkState):
                     f"below the guaranteed {required:.3f}"
                 )
 
-    in_s = _entry_in_s_occurrence(state, entry)
     partners = [
         e2 if e1 == entry else e1 for e1, e2 in pairs if entry in (e1, e2)
     ]
@@ -215,8 +205,8 @@ def _step(state: ShrinkState):
         raise InvariantError(
             f"heavy step kept {new_state.size} of {state.size} words, below 1/n"
         )
-    if in_s and new_state.emptiness_z < state.emptiness_z + 1:
-        raise InvariantError("heavy step on an S entry failed to raise emptiness")
+    if new_state.emptiness_z < state.emptiness_z + 1:
+        raise InvariantError("heavy step failed to raise emptiness")
     return new_state, "heavy", entry, premise_ok, best_count
 
 

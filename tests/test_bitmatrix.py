@@ -127,10 +127,6 @@ def random_matrix(rng, rows, cols):
 
 
 class TestConstruction:
-    def test_from_rows(self):
-        m = BinaryMatrix.from_rows([[1, 0], [0, 1]])
-        assert m == BinaryMatrix.identity(2)
-
     def test_rejects_empty(self):
         with pytest.raises(PreconditionError):
             BinaryMatrix(0, 3, [])
@@ -156,9 +152,25 @@ class TestConstruction:
             BinaryMatrix(rows, cols, masks)
         assert str(info.value) == message
 
-    def test_rejects_bad_entry(self):
-        with pytest.raises(PreconditionError):
-            BinaryMatrix.from_rows([[1, 2]])
+    @pytest.mark.parametrize(
+        "rows, cols, message",
+        [
+            (2.5, 2, "matrix rows/cols must be integers"),
+            (2, True, "matrix rows/cols must be integers"),
+            ("2", 2, "matrix rows/cols must be integers"),
+            (0, 2, "matrix must have at least one row and one column"),
+            (2, -1, "matrix must have at least one row and one column"),
+        ],
+        ids=["rows-float", "cols-bool", "rows-str", "rows-zero", "cols-negative"],
+    )
+    def test_bad_shape_reads_the_same_every_way_in(self, rows, cols, message):
+        doc = {"rows": rows, "cols": cols, "ones": []}
+        for make in (lambda: BinaryMatrix(rows, cols, []),
+                     lambda: BinaryMatrix.from_ones(rows, cols, []),
+                     lambda: BinaryMatrix.from_json_dict(doc)):
+            with pytest.raises(PreconditionError) as info:
+                make()
+            assert str(info.value) == message
 
     def test_weight_matches_storage(self):
         rng = random.Random(7)
@@ -175,7 +187,7 @@ class TestConstruction:
             assert m.transpose().transpose() == m
 
     def test_json_round_trip_and_sorted_ones(self):
-        m = BinaryMatrix.from_rows([[0, 1, 1], [1, 0, 0]])
+        m = BinaryMatrix(2, 3, [0b110, 0b001])
         doc = m.to_json_dict()
         assert doc["ones"] == [[1, 2], [1, 3], [2, 1]]
         assert BinaryMatrix.from_json_dict(doc) == m
@@ -204,36 +216,30 @@ class TestConstruction:
 
 class TestContains:
     def test_equality_case(self):
-        assert contains(BinaryMatrix.all_ones(2, 2), S_PATTERN) == ((0, 1), (0, 1))
+        assert contains(BinaryMatrix(2, 2, [3, 3]), S_PATTERN) == ((0, 1), (0, 1))
 
     def test_identity_avoids_s(self):
-        assert contains(BinaryMatrix.identity(3), S_PATTERN) is None
+        assert contains(BinaryMatrix(3, 3, [1, 2, 4]), S_PATTERN) is None
 
     def test_fano_avoids_s(self, fano_incidence):
         assert contains(fano_incidence, S_PATTERN) is None
 
     def test_dimension_violation(self):
         with pytest.raises(PreconditionError):
-            contains(BinaryMatrix.identity(2), BinaryMatrix.zeros(3, 1))
+            contains(BinaryMatrix(2, 2, [1, 2]), BinaryMatrix(3, 1, [0, 0, 0]))
 
     def test_zero_pattern_contained_anywhere(self):
-        m = BinaryMatrix.zeros(3, 4)
-        assert contains(m, BinaryMatrix.zeros(2, 2)) == ((0, 1), (0, 1))
+        m = BinaryMatrix(3, 4, [0, 0, 0])
+        assert contains(m, BinaryMatrix(2, 2, [0, 0])) == ((0, 1), (0, 1))
 
     def test_witness_is_lexicographically_smallest(self):
         # S sits at rows {1,2} x cols {1,3} and rows {1,2} x cols {2,3}
-        m = BinaryMatrix.from_rows(
-            [
-                [0, 0, 0, 0],
-                [0, 1, 1, 1],
-                [0, 1, 1, 1],
-            ]
-        )
+        m = BinaryMatrix(3, 4, [0b0000, 0b1110, 0b1110])
         assert contains(m, S_PATTERN) == ((1, 2), (1, 2))
 
     def test_domination_not_equality(self):
-        pattern = BinaryMatrix.from_rows([[1, 0], [0, 1]])
-        host = BinaryMatrix.all_ones(2, 2)
+        pattern = BinaryMatrix(2, 2, [1, 2])
+        host = BinaryMatrix(2, 2, [3, 3])
         assert contains(host, pattern) == ((0, 1), (0, 1))
 
     @settings(max_examples=400, deadline=None)
@@ -257,10 +263,10 @@ class TestContains:
 
 class TestCountS:
     def test_all_ones_4x5(self):
-        assert count_s(BinaryMatrix.all_ones(4, 5)).exact_count == 60
+        assert count_s(BinaryMatrix(4, 5, [31] * 4)).exact_count == 60
 
     def test_all_ones_2x2(self):
-        assert count_s(BinaryMatrix.all_ones(2, 2)).exact_count == 1
+        assert count_s(BinaryMatrix(2, 2, [3, 3])).exact_count == 1
 
     def test_fano(self, fano_incidence):
         report = count_s(fano_incidence)
@@ -274,7 +280,7 @@ class TestCountS:
             assert count_s(m).exact_count == naive_s_count(m)
 
     def test_density(self):
-        m = BinaryMatrix.all_ones(4, 5)
+        m = BinaryMatrix(4, 5, [31] * 4)
         assert count_s(m).density_m == pytest.approx(20 / (5 * 2))
 
 
@@ -333,11 +339,11 @@ def permuted(matrix, row_order, col_order):
 class TestPermanent:
     def test_identity(self):
         for n in range(1, 7):
-            assert permanent(BinaryMatrix.identity(n)) == 1
+            assert permanent(BinaryMatrix(n, n, [1 << i for i in range(n)])) == 1
 
     def test_all_ones(self):
         for n in range(1, 13):
-            assert permanent(BinaryMatrix.all_ones(n, n)) == math.factorial(n)
+            assert permanent(BinaryMatrix(n, n, [(1 << n) - 1] * n)) == math.factorial(n)
 
     def test_fano(self, fano_incidence):
         assert permanent(fano_incidence) == 24
@@ -361,7 +367,7 @@ class TestPermanent:
 
     def test_rejects_non_square(self):
         with pytest.raises(PreconditionError):
-            permanent(BinaryMatrix.zeros(2, 3))
+            permanent(BinaryMatrix(2, 3, [0, 0]))
 
     def test_capacity_guard(self, monkeypatch):
         def no_terms(values):
@@ -370,7 +376,7 @@ class TestPermanent:
         monkeypatch.setattr(bitmatrix.math, "prod", no_terms)
         for n in (bitmatrix.PERMANENT_MAX_SIDE + 1, 31):
             with pytest.raises(CapacityError):
-                permanent(BinaryMatrix.all_ones(n, n))
+                permanent(BinaryMatrix(n, n, [(1 << n) - 1] * n))
 
     def test_glynn_sum_not_a_multiple_raises(self, monkeypatch):
         real_prod = math.prod
@@ -382,13 +388,13 @@ class TestPermanent:
 
         monkeypatch.setattr(bitmatrix.math, "prod", first_term_off_by_one)
         with pytest.raises(InvariantError, match="multiple of 2\\^2"):
-            permanent(BinaryMatrix.all_ones(3, 3))
+            permanent(BinaryMatrix(3, 3, [7, 7, 7]))
 
     def test_negative_glynn_sum_raises(self, monkeypatch):
         real_prod = math.prod
         monkeypatch.setattr(bitmatrix.math, "prod", lambda values: -real_prod(values))
         with pytest.raises(InvariantError, match="non-negative"):
-            permanent(BinaryMatrix.identity(1))
+            permanent(BinaryMatrix(1, 1, [1]))
 
 
 def test_traced_spans_resolve():

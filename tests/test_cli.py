@@ -63,6 +63,17 @@ class TestPlaneCommands:
         failed = [c["axiom"] for c in report["checks"] if not c["ok"]]
         assert "P3" in failed
 
+    def test_verify_refuses_a_point_outside_the_document(self, capsys, tmp_path):
+        out_path = tmp_path / "plane.json"
+        run_cli(capsys, "plane", "build", "--q", "2", "--out", str(out_path))
+        doc = json.loads(out_path.read_text())
+        doc["lines"][3] = doc["lines"][3][:-1] + [7]
+        write_json(out_path, doc)
+        code, out, err = run_cli(capsys, "plane", "verify", "--in", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert "lines[3] names point 7, outside 0..6" in err
+
     def test_build_refuses_field_over_order_guard(self, capsys):
         code, out, err = run_cli(capsys, "plane", "build", "--q", "1031")
         assert code == 2

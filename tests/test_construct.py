@@ -166,7 +166,7 @@ class TestPlanePermutationCode:
         assert overall_matrix(fano_code24) == fano_incidence
 
     def test_identity_host(self):
-        code = plane_permutation_code(BinaryMatrix.identity(3))
+        code = plane_permutation_code(BinaryMatrix(3, 3, [1, 2, 4]))
         assert code.words == ((0, 1, 2),)
 
     def test_limit_is_enumeration_prefix(self, fano_incidence, fano_code24):
@@ -209,25 +209,25 @@ class TestPlanePermutationCode:
     @pytest.mark.parametrize("limit", [0.5, 2.0, True, "1"])
     def test_limit_must_be_an_int(self, limit):
         with pytest.raises(PreconditionError, match="limit must be an integer"):
-            plane_permutation_code(BinaryMatrix.identity(3), limit)
+            plane_permutation_code(BinaryMatrix(3, 3, [1, 2, 4]), limit)
         with pytest.raises(PreconditionError, match="limit must be an integer"):
             lift_code(Code(n=3, k=3, repetition_free=True, words=[(0, 1, 2)]), 6, limit)
 
     def test_refuses_s_host(self):
-        host = BinaryMatrix.all_ones(3, 3)
+        host = BinaryMatrix(3, 3, [7, 7, 7])
         with pytest.raises(PreconditionError) as info:
             plane_permutation_code(host)
         assert info.value.witness == ((0, 1), (0, 1))
 
     def test_refuses_empty_row_or_column(self):
         with pytest.raises(PreconditionError):
-            plane_permutation_code(BinaryMatrix.from_rows([[0, 0], [1, 0]]))
+            plane_permutation_code(BinaryMatrix(2, 2, [0, 1]))
         with pytest.raises(PreconditionError):
-            plane_permutation_code(BinaryMatrix.from_rows([[1, 0], [1, 0]]))
+            plane_permutation_code(BinaryMatrix(2, 2, [1, 1]))
 
     def test_refuses_non_square(self):
         with pytest.raises(PreconditionError):
-            plane_permutation_code(BinaryMatrix.from_rows([[1, 0, 1], [0, 1, 1]]))
+            plane_permutation_code(BinaryMatrix(2, 3, [0b101, 0b110]))
 
 
 class TestSampling:
@@ -274,7 +274,7 @@ class TestSampling:
 
     def test_host_without_perfect_matching_stops_after_one_attempt(self):
         # rows 0 and 1 both have only column 0
-        host = BinaryMatrix.from_rows([[1, 0, 0], [1, 0, 0], [0, 1, 1]])
+        host = BinaryMatrix(3, 3, [0b001, 0b001, 0b110])
         result = sample_plane_permutations(host, 3, seed=5)
         assert result.attempts == 1
         assert not result.complete
@@ -287,7 +287,15 @@ class TestSampling:
     @pytest.mark.parametrize("count", [1.5, 2.0, True, "3", None])
     def test_count_must_be_an_int(self, count):
         with pytest.raises(PreconditionError, match="count must be an integer"):
-            sample_plane_permutations(BinaryMatrix.identity(3), count)
+            sample_plane_permutations(BinaryMatrix(3, 3, [1, 2, 4]), count)
+
+    def test_negative_count_and_limit_read_alike(self, fano_incidence):
+        with pytest.raises(PreconditionError) as info:
+            sample_plane_permutations(fano_incidence, -1)
+        assert str(info.value) == "count must be nonnegative, got -1"
+        with pytest.raises(PreconditionError) as info:
+            plane_permutation_code(fano_incidence, limit=-1)
+        assert str(info.value) == "limit must be nonnegative, got -1"
 
     def test_zero_count(self, fano_incidence):
         result = sample_plane_permutations(fano_incidence, 0, seed=0)

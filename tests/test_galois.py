@@ -8,7 +8,8 @@ from revfree import (
     field_make,
     is_prime,
 )
-from revfree.galois import MAX_FIELD_ORDER, _pack, _poly_mod, _unpack
+from revfree import galois
+from revfree.galois import MAX_FIELD_ORDER, FieldSpec, _pack, _poly_mod, _unpack
 
 ACCEPTANCE_ORDERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
 
@@ -58,10 +59,42 @@ def test_field_make_rejects_large_degree():
 
 
 def test_gf_rejects_reducible_modulus():
-    from revfree.galois import FieldSpec
-
     with pytest.raises(PreconditionError):
         GF(FieldSpec(2, 2, (1, 0, 1)))  # t^2 + 1 = (t+1)^2 over GF(2)
+
+
+@pytest.mark.parametrize(
+    "p, e, modulus, message",
+    [
+        (4, 1, None, "4 is not prime"),
+        (1, 1, None, "1 is not prime"),
+        (2.0, 1, None, "2.0 is not prime"),
+        (True, 1, None, "True is not prime"),
+        (2, 5, None, "extension degree must be in 1..4, got 5"),
+        (2, True, None, "extension degree must be in 1..4, got True"),
+        (5, 1, (0, 1), "a prime field takes no modulus"),
+        (2, 2, None, "extension field needs a degree-e modulus"),
+        (2, 2, (1, 1), "extension field needs a degree-e modulus"),
+        (2, 2, (1, 0, 1), "modulus is reducible"),
+        (3, 2, (1, 0, 2), "modulus must be monic"),
+    ],
+    ids=["composite", "one", "float", "bool", "degree-5", "degree-bool",
+         "prime-with-modulus", "no-modulus", "short-modulus", "reducible", "non-monic"],
+)
+def test_field_spec_refuses_what_is_not_a_field(p, e, modulus, message):
+    with pytest.raises(PreconditionError) as info:
+        FieldSpec(p, e, modulus)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("p, e", [(1021, 5), (2.0, 1), (2, True), (2, 2.0), (6, 2)])
+def test_field_make_refuses_before_searching(monkeypatch, p, e):
+    def no_search(coeffs, p):
+        raise AssertionError("modulus search started for a refused field")
+
+    monkeypatch.setattr(galois, "_is_irreducible", no_search)
+    with pytest.raises(PreconditionError):
+        field_make(p, e)
 
 
 @pytest.mark.parametrize("p,e", ACCEPTANCE_ORDERS)

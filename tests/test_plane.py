@@ -204,9 +204,39 @@ def test_plane_order_guard(monkeypatch):
 def test_incidence_matrix_rejects_out_of_range_index(line, point):
     plane = build_order(2)
     lines = plane.lines[:3] + (line,) + plane.lines[4:]
-    broken = dataclasses.replace(plane, lines=lines)
     with pytest.raises(PreconditionError, match=rf"lines\[3\] names point {point}"):
-        incidence_matrix(broken)
+        incidence_matrix(dataclasses.replace(plane, lines=lines))
+
+
+ORDER_TEXT = "plane order must be a positive integer"
+
+
+@pytest.mark.parametrize(
+    "order, line, message, wire_message",
+    [
+        (0, None, ORDER_TEXT, ORDER_TEXT),
+        (True, None, ORDER_TEXT, ORDER_TEXT),
+        (1.5, None, ORDER_TEXT, ORDER_TEXT),
+        (2, (-1, 0, 1), "lines[3] names point -1, outside 0..6",
+         "lines[3] names point -1, outside 0..6"),
+        (2, (0, 1, 7), "lines[3] names point 7, outside 0..6",
+         "lines[3] names point 7, outside 0..6"),
+        (2, (0, 1, 1.5), "lines[3] names point 1.5, outside 0..6",
+         "malformed plane document: lines[3][2] = 1.5 is not an integer"),
+    ],
+    ids=["order-0", "order-bool", "order-float", "index-negative", "index-N",
+         "index-float"],
+)
+def test_plane_refuses_a_bad_order_or_point(order, line, message, wire_message):
+    fano = build_order(2)
+    lines = fano.lines if line is None else fano.lines[:3] + (line,) + fano.lines[4:]
+    with pytest.raises(PreconditionError) as info:
+        ProjectivePlane(order=order, points=fano.points, lines=lines)
+    assert str(info.value) == message
+    doc = {**plane_to_json_dict(fano), "order": order, "lines": [list(ln) for ln in lines]}
+    with pytest.raises(PreconditionError) as info:
+        plane_from_json_dict(doc)
+    assert str(info.value) == wire_message
 
 
 # -- oracle: the double-loop checks over all pairs of masks --------------------
@@ -233,16 +263,15 @@ def reference_p0(plane, line_masks):
 
 def reference_verify(plane):
     """P0 walks 4-subsets in ``combinations`` order, P1 and P2 AND every
-    pair of line or point masks, P4 probes each (point, line) bit; P3 and
-    P5 are the module's own checks."""
+    pair of line or point masks, P3 counts each line's distinct points, P4
+    probes each (point, line) bit; P5 is the module's own check."""
     npts, nlines, r = len(plane.points), len(plane.lines), plane.order
-    p3, p5 = plane_module._check_p3(plane, r), plane_module._check_p5(npts, nlines, r)
-    if any(not 0 <= j < npts for line in plane.lines for j in line):
-        bad = [
-            AxiomCheck(axiom, False, "line references a point index out of range")
-            for axiom in ("P0", "P1", "P2", "P4")
-        ]
-        return PlaneReport(checks=(*bad[:3], p3, bad[3], p5))
+    p3 = next(
+        (AxiomCheck("P3", False, f"line {i} has {len(set(line))} points, expected {r + 1}")
+         for i, line in enumerate(plane.lines) if len(set(line)) != r + 1),
+        AxiomCheck("P3", True),
+    )
+    p5 = plane_module._check_p5(npts, nlines, r)
     line_masks = [sum(1 << j for j in set(line)) for line in plane.lines]
     point_masks = [
         sum(1 << i for i, lm in enumerate(line_masks) if (lm >> x) & 1)
@@ -279,6 +308,7 @@ CORRUPTIONS = (
     "drop", "add", "duplicate", "negative", "too-high",
     "remove-line", "extra-line", "copy-line", "order", "move",
 )
+OUT_OF_RANGE = {"negative", "too-high"}
 
 
 def corrupt(plane, rng, kind):
@@ -318,13 +348,19 @@ def test_verify_matches_reference_on_corrupted_planes(q):
         ProjectivePlane(order=q, points=(), lines=()),
         ProjectivePlane(order=q, points=plane.points, lines=()),
     ]
-    for kind in CORRUPTIONS:
-        cases += [corrupt(plane, rng, kind) for _ in range(6)]
-    for _ in range(30):
+    series = [[kind] for kind in CORRUPTIONS for _ in range(6)]
+    series += [rng.sample(CORRUPTIONS, 3) for _ in range(30)]
+    for kinds in series:
         broken = plane
-        for kind in rng.sample(CORRUPTIONS, 3):
-            broken = corrupt(broken, rng, kind)
-        cases.append(broken)
+        if OUT_OF_RANGE.isdisjoint(kinds):
+            for kind in kinds:
+                broken = corrupt(broken, rng, kind)
+            cases.append(broken)
+            continue
+        # an index outside the points is refused when the plane is made
+        with pytest.raises(PreconditionError, match=r"lines\[\d+\] names point -?\d+, outside"):
+            for kind in kinds:
+                broken = corrupt(broken, rng, kind)
     failed = set()
     for case in cases:
         report = plane_verify(case)
@@ -357,7 +393,7 @@ def test_frame_search_matches_combinations(q):
     rng = random.Random(100 + q)
     cases = [plane]
     for kind in CORRUPTIONS:
-        if kind not in ("negative", "too-high"):
+        if kind not in OUT_OF_RANGE:
             cases += [corrupt(plane, rng, kind) for _ in range(6)]
     # put three points of the first frame on a new line, eight times over,
     # so each search has to move past the frame the previous one found

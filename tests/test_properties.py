@@ -231,14 +231,19 @@ def assert_matches_rebuild(state):
 
 
 def shrink_states(code):
-    """Every state of a threshold-0 shrink run."""
+    """Every state of a threshold-0 shrink run; each heavy step's row had at
+    least two 1s, so the step raised emptiness."""
     state = ShrinkState.from_code(code)
     states = [state]
     while state.size:
         step = _step(state)
         if step is None:
             break
-        state = step[0]
+        new_state, kind, (row, _), *_ = step
+        if kind == "heavy":
+            assert state.overall.row_weight(row) >= 2
+            assert new_state.emptiness_z > state.emptiness_z
+        state = new_state
         states.append(state)
     return states
 

@@ -179,9 +179,13 @@ class TestCode:
     )
     def test_refuses_header_of_the_wrong_type(self, header):
         fields = {"n": 3, "k": 2, "repetition_free": True, **header}
+        message = "code n/k must be integers and repetition_free a bool"
         with pytest.raises(PreconditionError) as info:
             Code(words=[(0, 2)], **fields)
-        assert str(info.value) == "code n/k must be integers and repetition_free a bool"
+        assert str(info.value) == message
+        with pytest.raises(PreconditionError) as info:
+            code_from_json_dict({**fields, "words": [[1, 3]]})
+        assert str(info.value) == message
 
     def test_allows_repeats_otherwise(self):
         code = make_code(3, 2, [(1, 1)], repetition_free=False)
