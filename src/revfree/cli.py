@@ -17,8 +17,8 @@ from dataclasses import asdict
 
 from . import construct, exact, shrink
 from .bitmatrix import BinaryMatrix, count_s, permanent
-from .errors import InvariantError, PreconditionError
-from .galois import factor_prime_power, field_make
+from .errors import CapacityError, InvariantError, PreconditionError
+from .galois import MAX_FIELD_ORDER, factor_prime_power, field_make
 from .plane import (
     incidence_matrix,
     plane_build,
@@ -58,6 +58,9 @@ def _load_matrix(path: str) -> BinaryMatrix:
 
 
 def _build_plane_for_order(q: int):
+    # refused before the trial division, which a huge q would keep running
+    if q > MAX_FIELD_ORDER:
+        raise CapacityError(f"field order {q} is over the limit {MAX_FIELD_ORDER}")
     factored = factor_prime_power(q)
     if factored is None:
         raise PreconditionError(f"{q} is not a prime power")

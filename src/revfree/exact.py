@@ -1,7 +1,9 @@
 """Exact maximum reverse-free / full-of-flips code sizes at desk scale.
 
 The words of [n]^k (or its repetition-free subset) become vertices of a
-conflict graph whose edges join word pairs having a reverse.  A maximum
+conflict graph whose edges join word pairs having a reverse.  The graph is
+built one position pair i < j at a time: the words holding letters (x, y)
+there, x != y, are joined to all words holding (y, x).  A maximum
 reverse-free code is then a maximum independent set and a maximum
 full-of-flips code a maximum clique.  Both are solved by one clique kernel
 (independent set goes through the complement) with greedy-coloring bounds,
@@ -12,10 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations, product
+from collections import defaultdict
+from itertools import combinations, permutations, product
+from operator import itemgetter
 
 from .errors import CapacityError, PreconditionError
-from .words import Code, reverses_after
+from .words import Code
 
 VERTEX_LIMIT = 10_000
 ORACLE_VERTEX_LIMIT = 20
@@ -41,7 +45,8 @@ def word_universe_size(n: int, k: int, repetition_free: bool) -> int:
 
 
 def build_conflict_graph(n: int, k: int, repetition_free: bool) -> ConflictGraph:
-    """Enumerate the word universe and connect pairs having a reverse."""
+    """Enumerate the word universe and connect pairs having a reverse,
+    grouping the words by their letter pair at each position pair."""
     if n < 1 or k < 1:
         raise PreconditionError("need n >= 1 and k >= 1")
     total = word_universe_size(n, k, repetition_free)
@@ -54,12 +59,17 @@ def build_conflict_graph(n: int, k: int, repetition_free: bool) -> ConflictGraph
         words = tuple(permutations(range(n), k))
     else:
         words = tuple(product(range(n), repeat=k))
-    nv = len(words)
-    adj = [0] * nv
-    for a in range(nv):
-        for b, _ in reverses_after(words, a, n):
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
+    adj = [0] * len(words)
+    for i, j in combinations(range(k), 2):
+        groups = defaultdict(list)
+        for v, word in enumerate(words):
+            groups[word[i], word[j]].append(v)
+        masks = {key: sum(1 << v for v in group) for key, group in groups.items()}
+        for (x, y), group in groups.items():
+            if x != y and (y, x) in masks:
+                partners = masks[y, x]
+                for v in group:
+                    adj[v] |= partners
     return ConflictGraph(
         n=n, k=k, repetition_free=repetition_free, words=words, adj=tuple(adj)
     )
@@ -71,27 +81,24 @@ def build_conflict_graph(n: int, k: int, repetition_free: bool) -> ConflictGraph
 def max_clique_vertices(adj, nv: int):
     """Maximum clique of a bitset-adjacency graph, as ascending vertex list.
 
+    ``adj[v]`` is the mask of v's neighbours among vertices 0..nv-1.
     Branch and bound with greedy-coloring upper bounds; vertices are
     relabeled highest-degree-first (ties by index) so the search, and hence
-    the returned witness, is deterministic.
+    the returned witness, is deterministic.  As in Tomita and Seki's MCQ, a
+    frame lists only the colour classes above kmin = |best| - |stack|, and a
+    child whose candidates cannot outgrow the best clique is never opened.
     """
     if nv == 0:
         return []
     order = sorted(range(nv), key=lambda v: (-adj[v].bit_count(), v))
-    rank = [0] * nv
-    for i, v in enumerate(order):
-        rank[v] = i
-    radj = [0] * nv
-    for v in range(nv):
-        mask = adj[v]
-        new = 0
-        while mask:
-            low = mask & -mask
-            new |= 1 << rank[low.bit_length() - 1]
-            mask ^= low
-        radj[rank[v]] = new
+    # relabel all masks at once: bit i of radj[r] is bit order[i] of
+    # adj[order[r]], permuted as characters of the binary string
+    pick = itemgetter(*[nv - 1 - v for v in reversed(order)])
+    radj = [int("".join(pick(format(adj[v], f"0{nv}b"))), 2) for v in order]
 
-    def color_sort(cand: int):
+    def color_sort(cand: int, kmin: int):
+        # classes 1..kmin are coloured but not listed: a vertex of colour
+        # c <= kmin can never lift the stack past the best clique
         verts: list[int] = []
         bounds: list[int] = []
         color = 0
@@ -104,8 +111,9 @@ def max_clique_vertices(adj, nv: int):
                 v = low.bit_length() - 1
                 avail &= ~(radj[v] | low)
                 left ^= low
-                verts.append(v)
-                bounds.append(color)
+                if color > kmin:
+                    verts.append(v)
+                    bounds.append(color)
         return verts, bounds
 
     # frames[d] is [cand, verts, bounds] at depth d, whose colour classes are
@@ -113,7 +121,7 @@ def max_clique_vertices(adj, nv: int):
     best: list[int] = []
     stack: list[int] = []
     cand = (1 << nv) - 1
-    frames = [[cand, *color_sort(cand)]]
+    frames = [[cand, *color_sort(cand, 0)]]
     while frames:
         frame = frames[-1]
         cand, verts, bounds = frame
@@ -126,11 +134,14 @@ def max_clique_vertices(adj, nv: int):
         bounds.pop()
         frame[0] = cand & ~(1 << v)
         sub = cand & radj[v]
-        if sub:
-            stack.append(v)
-            frames.append([sub, *color_sort(sub)])
-        elif len(stack) >= len(best):
-            best = stack + [v]
+        # a child frame of at most len(best) - len(stack) - 1 vertices
+        # could only list nothing
+        if len(stack) + sub.bit_count() >= len(best):
+            if sub:
+                stack.append(v)
+                frames.append([sub, *color_sort(sub, len(best) - len(stack))])
+            else:
+                best = stack + [v]
     return sorted(order[i] for i in best)
 
 

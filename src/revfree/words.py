@@ -7,10 +7,10 @@ pair of its words has a reverse, and *full of flips* when every pair does.
 
 One kernel, ``reverses_after``, holds the reverse test: it scans one word
 against the run of later words.  ``find_reverse``, the full-of-flips
-verifier, the exact solver's conflict graph and the pairwise verifier on
-codes of at most 2k words all go through it.  On more words the pairwise
-verifier reads each position pair's first occurrence of every letter pair
-instead, and the signature verifier is the independent second route.
+verifier and the pairwise verifier on codes of at most 2k words all go
+through it.  On more words the pairwise verifier reads each position
+pair's first occurrence of every letter pair instead, and the signature
+verifier is the independent second route.
 
 Letters are 0-based internally (0..n-1) and 1-based in JSON, matching the
 usual 1..n presentation at the boundary.

@@ -93,6 +93,21 @@ class TestPlaneCommands:
         assert out == ""
         assert "plane order 1021" in err and "101" in err
 
+    @pytest.mark.parametrize("command", [["plane", "build"], ["construct", "plane-code"]])
+    @pytest.mark.parametrize("q", [2305843009213693951, 1030])
+    def test_order_over_field_guard_is_never_factored(self, capsys, monkeypatch, command, q):
+        from revfree import cli
+
+        def no_factoring(order):
+            raise AssertionError(f"factored {order}, over the field guard")
+
+        # 2^61 - 1 is prime: trial division would run for hours
+        monkeypatch.setattr(cli, "factor_prime_power", no_factoring)
+        code, out, err = run_cli(capsys, *command, "--q", str(q))
+        assert code == 2
+        assert out == ""
+        assert f"field order {q} is over the limit 1024" in err
+
     def test_malformed_json_reports_location(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"order": 2,', encoding="utf-8")

@@ -1,7 +1,7 @@
 import math
 import random
 import sys
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -16,6 +16,21 @@ from revfree import (
     verify_reverse_free,
 )
 from revfree.exact import max_clique_vertices, word_universe_size
+from revfree.words import reverses_after
+
+# the exact_optima benchmark shapes: (n, k, repetition_free, searched as the
+# complement), the complement being the search for F and Fbar
+BENCHMARK_SHAPES = [
+    (5, 4, True, True),
+    (7, 4, True, False),
+    (4, 4, False, True),
+    (5, 3, False, True),
+    (3, 6, False, True),
+    (3, 5, False, False),
+    (6, 4, False, False),
+    (2, 9, False, False),
+    (8, 3, False, False),
+]
 
 
 def parity(word):
@@ -37,6 +52,84 @@ def small_instances(limit):
                 if word_universe_size(n, k, repetition_free) <= limit:
                     out.append((n, k, repetition_free))
     return out
+
+
+def reference_conflict_graph(n, k, repetition_free):
+    """Words and adjacency masks from testing every word pair for a reverse."""
+    if repetition_free:
+        words = tuple(permutations(range(n), k))
+    else:
+        words = tuple(product(range(n), repeat=k))
+    nv = len(words)
+    adj = [0] * nv
+    for a in range(nv):
+        for b, _ in reverses_after(words, a, n):
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+    return words, tuple(adj)
+
+
+def reference_max_clique(adj, nv):
+    """Colour-bounded branch and bound that lists every coloured vertex and
+    opens every non-empty child frame, relabelling one edge at a time."""
+    if nv == 0:
+        return []
+    order = sorted(range(nv), key=lambda v: (-adj[v].bit_count(), v))
+    rank = [0] * nv
+    for i, v in enumerate(order):
+        rank[v] = i
+    radj = [0] * nv
+    for v in range(nv):
+        mask = adj[v]
+        new = 0
+        while mask:
+            low = mask & -mask
+            new |= 1 << rank[low.bit_length() - 1]
+            mask ^= low
+        radj[rank[v]] = new
+
+    def color_sort(cand):
+        verts, bounds = [], []
+        color = 0
+        left = cand
+        while left:
+            color += 1
+            avail = left
+            while avail:
+                low = avail & -avail
+                v = low.bit_length() - 1
+                avail &= ~(radj[v] | low)
+                left ^= low
+                verts.append(v)
+                bounds.append(color)
+        return verts, bounds
+
+    best, stack = [], []
+    cand = (1 << nv) - 1
+    frames = [[cand, *color_sort(cand)]]
+    while frames:
+        frame = frames[-1]
+        cand, verts, bounds = frame
+        if not verts or len(stack) + bounds[-1] <= len(best):
+            frames.pop()
+            if stack:
+                stack.pop()
+            continue
+        v = verts.pop()
+        bounds.pop()
+        frame[0] = cand & ~(1 << v)
+        sub = cand & radj[v]
+        if sub:
+            stack.append(v)
+            frames.append([sub, *color_sort(sub)])
+        elif len(stack) >= len(best):
+            best = stack + [v]
+    return sorted(order[i] for i in best)
+
+
+def complement(adj, nv):
+    full = (1 << nv) - 1
+    return [full & ~adj[v] & ~(1 << v) for v in range(nv)]
 
 
 class TestConflictGraph:
@@ -73,6 +166,16 @@ class TestConflictGraph:
         graph = build_conflict_graph(3, 2, False)
         assert not any(adj >> v & 1 for v, adj in enumerate(graph.adj))
 
+    @pytest.mark.parametrize(
+        "n, k, repetition_free",
+        small_instances(130) + [shape[:3] for shape in BENCHMARK_SHAPES],
+    )
+    def test_matches_the_pairwise_reference(self, n, k, repetition_free):
+        graph = build_conflict_graph(n, k, repetition_free)
+        words, adj = reference_conflict_graph(n, k, repetition_free)
+        assert graph.words == words
+        assert graph.adj == adj
+
 
 class TestMaxCliqueKernel:
     def test_empty_graph(self):
@@ -85,6 +188,35 @@ class TestMaxCliqueKernel:
         # vertices 0-1-2 triangle, 3 attached to 0
         adj = [0b1110, 0b0101, 0b0011, 0b0001]
         assert max_clique_vertices(adj, 4) == [0, 1, 2]
+
+    @pytest.mark.parametrize("n, k, repetition_free, searched_as_complement",
+                             BENCHMARK_SHAPES)
+    def test_benchmark_witness_matches_the_reference(
+            self, n, k, repetition_free, searched_as_complement):
+        graph = build_conflict_graph(n, k, repetition_free)
+        nv = len(graph.words)
+        adj = complement(graph.adj, nv) if searched_as_complement else list(graph.adj)
+        assert max_clique_vertices(adj, nv) == reference_max_clique(adj, nv)
+
+    def test_random_witnesses_match_the_reference(self):
+        rng = random.Random(13)
+        for _ in range(300):
+            nv = rng.randint(0, 60)
+            density = rng.choice((0.1, 0.3, 0.5, 0.7, 0.9))
+            adj = [0] * nv
+            for u in range(nv):
+                for v in range(u + 1, nv):
+                    if rng.random() < density:
+                        adj[u] |= 1 << v
+                        adj[v] |= 1 << u
+            assert max_clique_vertices(adj, nv) == reference_max_clique(adj, nv)
+
+    @pytest.mark.parametrize("nv", [0, 1, 2, 7, 40])
+    def test_edgeless_and_complete_witnesses_match_the_reference(self, nv):
+        edgeless = [0] * nv
+        complete = complement(edgeless, nv)
+        for adj in (edgeless, complete):
+            assert max_clique_vertices(adj, nv) == reference_max_clique(adj, nv)
 
 
 class TestMaxReverseFree:
