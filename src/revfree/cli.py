@@ -17,8 +17,8 @@ from dataclasses import asdict
 
 from . import construct, exact, shrink
 from .bitmatrix import BinaryMatrix, count_s, permanent
-from .errors import CapacityError, InvariantError, PreconditionError
-from .galois import MAX_FIELD_ORDER, factor_prime_power, field_make
+from .errors import InvariantError, PreconditionError
+from .galois import check_field_order, factor_prime_power, field_make
 from .plane import (
     incidence_matrix,
     plane_build,
@@ -58,14 +58,18 @@ def _load_matrix(path: str) -> BinaryMatrix:
 
 
 def _build_plane_for_order(q: int):
-    # refused before the trial division, which a huge q would keep running
-    if q > MAX_FIELD_ORDER:
-        raise CapacityError(f"field order {q} is over the limit {MAX_FIELD_ORDER}")
+    check_field_order(q)  # before the trial division, which a huge q would keep running
     factored = factor_prime_power(q)
     if factored is None:
         raise PreconditionError(f"{q} is not a prime power")
     p, e = factored
     return plane_build(field_make(p, e))
+
+
+def _pair_witness(code: Code, a: int, b: int, **extra) -> dict:
+    """Words a and b of a verdict, by index and in 1-based letters."""
+    words = [[c + 1 for c in code.words[x]] for x in (a, b)]
+    return {"word_indices": [a, b], "words": words, **extra}
 
 
 # -- handlers -------------------------------------------------------------------
@@ -124,11 +128,7 @@ def _cmd_verify_reverse_free(args) -> int:
     witness = None
     if not ok:
         a, b, i, j = verdicts[methods[0]][1]
-        witness = {
-            "word_indices": [a, b],
-            "words": [[c + 1 for c in code.words[a]], [c + 1 for c in code.words[b]]],
-            "positions": [i + 1, j + 1],
-        }
+        witness = _pair_witness(code, a, b, positions=[i + 1, j + 1])
     _emit({"property": "reverse-free", "ok": ok, "witness": witness}, None)
     return 0 if ok else 1
 
@@ -136,13 +136,7 @@ def _cmd_verify_reverse_free(args) -> int:
 def _cmd_verify_full_of_flips(args) -> int:
     code = _load_code(args.in_path)
     ok, pair = verify_full_of_flips(code)
-    witness = None
-    if not ok:
-        a, b = pair
-        witness = {
-            "word_indices": [a, b],
-            "words": [[c + 1 for c in code.words[a]], [c + 1 for c in code.words[b]]],
-        }
+    witness = None if ok else _pair_witness(code, *pair)
     _emit({"property": "full-of-flips", "ok": ok, "witness": witness}, None)
     return 0 if ok else 1
 

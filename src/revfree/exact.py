@@ -12,7 +12,6 @@ plus a brute-force subset oracle for cross-validation on tiny instances.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from collections import defaultdict
 from itertools import combinations, permutations, product
@@ -41,7 +40,14 @@ class ConflictGraph:
 
 
 def word_universe_size(n: int, k: int, repetition_free: bool) -> int:
-    return math.perm(n, k) if repetition_free else n ** k
+    """``math.perm(n, k)`` or ``n ** k``, multiplied out one position at a
+    time until the product passes ``VERTEX_LIMIT`` or is 0 or 1, where it stays."""
+    total = 0 if repetition_free and k > n else 1
+    for i in range(k):
+        total *= n - i if repetition_free else n
+        if not 1 < total <= VERTEX_LIMIT:
+            break
+    return total
 
 
 def build_conflict_graph(n: int, k: int, repetition_free: bool) -> ConflictGraph:
@@ -52,15 +58,17 @@ def build_conflict_graph(n: int, k: int, repetition_free: bool) -> ConflictGraph
     total = word_universe_size(n, k, repetition_free)
     if total > VERTEX_LIMIT:
         raise CapacityError(
-            f"conflict graph would have {total} vertices, over the "
+            f"conflict graph would have at least {total} vertices, over the "
             f"{VERTEX_LIMIT} limit"
         )
     if repetition_free:
-        words = tuple(permutations(range(n), k))
+        # permutations() allocates k counters even when k > n leaves no word
+        words = tuple(permutations(range(n), k)) if total else ()
     else:
         words = tuple(product(range(n), repeat=k))
     adj = [0] * len(words)
-    for i, j in combinations(range(k), 2):
+    # fewer than two words have no pair to join, however long they are
+    for i, j in combinations(range(k), 2) if len(words) > 1 else ():
         groups = defaultdict(list)
         for v, word in enumerate(words):
             groups[word[i], word[j]].append(v)

@@ -7,7 +7,7 @@ lexicographic order, so (0,0,1) is point 0, (0,1,z) is point 1 + z and
 triple i = (a, b, c), the x with a*x0 + b*x1 + c*x2 = 0, so the incidence
 matrix comes out symmetric.  Solving for the last coordinate whose
 coefficient is nonzero lists them in ascending index order, without testing
-the other points.
+the other points.  ``FieldSpec`` caps the order at ``MAX_FIELD_ORDER``.
 
 The six axioms checked by :func:`plane_verify`:
 
@@ -35,13 +35,8 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .bitmatrix import BinaryMatrix
-from .errors import CapacityError, PreconditionError, _read_document
-from .galois import GF, MAX_FIELD_ORDER, FieldSpec
-
-# the largest order measured when the guard was set; PG(2,101) builds and
-# verifies in 0.19 + 2.9 s at 96 MB max RSS on 2 shared vCPUs, so verify
-# dominates, and a higher guard needs its memory measured first
-MAX_PLANE_ORDER = 101
+from .errors import PreconditionError, _read_document
+from .galois import GF, FieldSpec
 
 
 @dataclass(frozen=True)
@@ -88,15 +83,9 @@ class PlaneReport:
 
 
 def plane_build(spec: FieldSpec) -> ProjectivePlane:
-    """Construct PG(2, q) for q = p^e; the result passes plane_verify.
-
-    Orders above ``MAX_PLANE_ORDER`` raise ``CapacityError`` before any
-    field table is built.
-    """
+    """Construct PG(2, q) for q = p^e, from any ``FieldSpec``; the result
+    passes plane_verify."""
     q = spec.order
-    # orders above MAX_FIELD_ORDER are refused by GF, naming the field's limit
-    if MAX_PLANE_ORDER < q <= MAX_FIELD_ORDER:
-        raise CapacityError(f"plane order {q} is over the limit {MAX_PLANE_ORDER}")
     field = GF(spec)
     points = [(0, 0, 1)]
     points += [(0, 1, z) for z in range(q)]

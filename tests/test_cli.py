@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from itertools import combinations
@@ -75,10 +76,10 @@ class TestPlaneCommands:
         assert "lines[3] names point 7, outside 0..6" in err
 
     def test_build_refuses_field_over_order_guard(self, capsys):
-        code, out, err = run_cli(capsys, "plane", "build", "--q", "1031")
+        code, out, err = run_cli(capsys, "plane", "build", "--q", "103")
         assert code == 2
         assert out == ""
-        assert "1024" in err
+        assert err == "error: field order 103 is over the limit 101\n"
 
     def test_build_refuses_plane_over_order_guard(self, capsys, monkeypatch):
         from revfree import plane
@@ -86,12 +87,25 @@ class TestPlaneCommands:
         def no_tables(spec):
             raise AssertionError("field tables built for a refused plane")
 
-        # GF(1021) passes the field guard; the plane guard stops it first
+        # one guard for fields and planes: 11^2 and 2^7 stop before any table
         monkeypatch.setattr(plane, "GF", no_tables)
-        code, out, err = run_cli(capsys, "plane", "build", "--q", "1021")
-        assert code == 2
-        assert out == ""
-        assert "plane order 1021" in err and "101" in err
+        for q in (121, 128, 1021):
+            code, out, err = run_cli(capsys, "plane", "build", "--q", str(q))
+            assert code == 2
+            assert out == ""
+            assert err == f"error: field order {q} is over the limit 101\n"
+
+    @pytest.mark.parametrize("q", [32, 64])
+    def test_build_and_verify_planes_of_order_32_and_64(self, capsys, tmp_path, q):
+        out_path = tmp_path / "plane.json"
+        code, out, err = run_cli(capsys, "plane", "build", "--q", str(q), "--out", str(out_path))
+        assert (code, out, err) == (0, "", "")
+        code, out, _ = run_cli(capsys, "plane", "verify", "--in", str(out_path))
+        assert code == 0
+        report = json.loads(out)
+        assert report["ok"] is True
+        assert [c["axiom"] for c in report["checks"] if c["ok"]] == [f"P{i}" for i in range(6)]
+        assert json.loads(out_path.read_text())["order"] == q
 
     @pytest.mark.parametrize("command", [["plane", "build"], ["construct", "plane-code"]])
     @pytest.mark.parametrize("q", [2305843009213693951, 1030])
@@ -106,7 +120,7 @@ class TestPlaneCommands:
         code, out, err = run_cli(capsys, *command, "--q", str(q))
         assert code == 2
         assert out == ""
-        assert f"field order {q} is over the limit 1024" in err
+        assert err == f"error: field order {q} is over the limit 101\n"
 
     def test_malformed_json_reports_location(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -327,6 +341,38 @@ class TestExactCommand:
         code, _, err = run_cli(capsys, "exact", "--n", "10", "--k", "5", "--mode", "Fbar")
         assert code == 2
         assert "100000" in err
+
+    @pytest.mark.parametrize(
+        "n, k, mode, value",
+        [
+            (10, 3_000_000, "Gbar", None),
+            (2, 1_000_000_000, "Fbar", None),
+            (3_000_000, 3_000_000, "F", None),
+            (2, 100_000, "F", 0),
+            (1, 100_000, "Fbar", 1),
+        ],
+        ids=["huge-k-refused", "huger-k-refused", "huge-n-refused", "no-word", "one-word"],
+    )
+    def test_huge_sizes_finish_quickly(self, n, k, mode, value):
+        # a fresh interpreter, so the timeout stops a size count or a pair
+        # loop that runs on; both measured well under 1 s
+        result = subprocess.run(
+            [sys.executable, "-m", "revfree", "exact", "--n", str(n), "--k", str(k),
+             "--mode", mode],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        if value is None:
+            assert result.returncode == 2
+            assert result.stdout == ""
+            assert re.fullmatch(r"error: conflict graph would have at least \d+ "
+                                r"vertices, over the 10000 limit\n", result.stderr)
+        else:
+            assert result.returncode == 0, result.stderr
+            doc = json.loads(result.stdout)
+            assert doc["value"] == value
+            assert doc["witness"] == [[1] * k] * value
 
 
 class TestShrinkCommand:

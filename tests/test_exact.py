@@ -15,7 +15,7 @@ from revfree import (
     verify_full_of_flips,
     verify_reverse_free,
 )
-from revfree.exact import max_clique_vertices, word_universe_size
+from revfree.exact import VERTEX_LIMIT, max_clique_vertices, word_universe_size
 from revfree.words import reverses_after
 
 # the exact_optima benchmark shapes: (n, k, repetition_free, searched as the
@@ -156,6 +156,16 @@ class TestConflictGraph:
     def test_vertices_in_lexicographic_order(self):
         graph = build_conflict_graph(3, 2, False)
         assert list(graph.words) == sorted(graph.words)
+
+    def test_universe_size_is_exact_up_to_the_limit(self):
+        for n in range(1, 13):
+            for k in range(1, 18):
+                for repetition_free, count in ((True, math.perm(n, k)), (False, n ** k)):
+                    size = word_universe_size(n, k, repetition_free)
+                    if count <= VERTEX_LIMIT:
+                        assert size == count, (n, k, repetition_free)
+                    else:
+                        assert VERTEX_LIMIT < size <= count, (n, k, repetition_free)
 
     def test_capacity_guard_names_count(self):
         with pytest.raises(CapacityError) as info:

@@ -54,8 +54,11 @@ def test_field_make_rejects_composite():
 
 
 def test_field_make_rejects_large_degree():
-    with pytest.raises(PreconditionError):
-        field_make(2, 5)
+    # 2^7 = 128 is the first power of two over the order limit
+    with pytest.raises(CapacityError, match=r"field order 2\^7 is over the limit 101"):
+        field_make(2, 7)
+    with pytest.raises(CapacityError, match=r"field order 2\^1000000000 is over"):
+        field_make(2, 10 ** 9)
 
 
 def test_gf_rejects_reducible_modulus():
@@ -70,15 +73,20 @@ def test_gf_rejects_reducible_modulus():
         (1, 1, None, "1 is not prime"),
         (2.0, 1, None, "2.0 is not prime"),
         (True, 1, None, "True is not prime"),
-        (2, 5, None, "extension degree must be in 1..4, got 5"),
-        (2, True, None, "extension degree must be in 1..4, got True"),
+        (2, 5, None, "extension field needs a degree-e modulus"),
+        (2, True, None, "extension degree must be a positive int, got True"),
+        (2, 0, None, "extension degree must be a positive int, got 0"),
+        (2, 7, None, "field order 2^7 is over the limit 101"),
+        (103, 1, None, "field order 103 is over the limit 101"),
+        (4, 4, None, "field order 4^4 is over the limit 101"),
         (5, 1, (0, 1), "a prime field takes no modulus"),
         (2, 2, None, "extension field needs a degree-e modulus"),
         (2, 2, (1, 1), "extension field needs a degree-e modulus"),
         (2, 2, (1, 0, 1), "modulus is reducible"),
         (3, 2, (1, 0, 2), "modulus must be monic"),
     ],
-    ids=["composite", "one", "float", "bool", "degree-5", "degree-bool",
+    ids=["composite", "one", "float", "bool", "degree-5", "degree-bool", "degree-0",
+         "order-2^7", "order-103", "order-over-limit-before-primality",
          "prime-with-modulus", "no-modulus", "short-modulus", "reducible", "non-monic"],
 )
 def test_field_spec_refuses_what_is_not_a_field(p, e, modulus, message):
@@ -155,11 +163,25 @@ def test_inverse_of_zero_is_refused():
 
 
 def test_field_order_guard():
-    assert MAX_FIELD_ORDER == 1024
-    with pytest.raises(CapacityError):
-        GF(field_make(1031, 1))
-    with pytest.raises(CapacityError):
-        GF(field_make(7, 4))  # 2401
+    assert MAX_FIELD_ORDER == 101
+    for p, e in ((101, 1), (3, 4), (2, 6)):
+        assert GF(field_make(p, e)).q == p ** e
+    for p, e in ((103, 1), (1031, 1), (7, 4), (2, 10)):
+        with pytest.raises(CapacityError, match=f"over the limit {MAX_FIELD_ORDER}"):
+            field_make(p, e)
+
+
+@pytest.mark.parametrize("make", [lambda p: FieldSpec(p, 1), lambda p: field_make(p, 1)],
+                         ids=["FieldSpec", "field_make"])
+def test_huge_prime_is_refused_before_factoring(monkeypatch, make):
+    def no_factoring(q):
+        raise AssertionError(f"factored {q}, over the order limit")
+
+    # 2^61 - 1 is prime: trial division would run for hours
+    monkeypatch.setattr(galois, "factor_prime_power", no_factoring)
+    with pytest.raises(CapacityError) as info:
+        make(2 ** 61 - 1)
+    assert str(info.value) == "field order 2305843009213693951 is over the limit 101"
 
 
 def test_inverse_of_a_power_is_the_power_of_the_inverse():

@@ -1,5 +1,6 @@
 """Static checks on the library source, read with ``ast``: every import is
-used, and every private top-level function has a caller in the package."""
+used, every private top-level function has a caller in the package, and
+every module-level constant is read in the package."""
 
 import ast
 from collections import Counter
@@ -47,3 +48,24 @@ def test_every_private_function_has_a_caller():
         and everywhere[node.name] == references(node)[node.name]
     ]
     assert stranded == []
+
+
+def test_every_module_constant_is_read():
+    # a limit whose guard is gone must go with it
+    loads = Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for tree in TREES.values()
+        for sub in ast.walk(tree)
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        or isinstance(sub, ast.Attribute)
+    )
+    constants = [
+        f"{module}:{target.id}"
+        for module, tree in TREES.items()
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and not target.id.startswith("__")
+    ]
+    assert "galois.py:MAX_FIELD_ORDER" in constants
+    assert [c for c in constants if not loads[c.partition(":")[2]]] == []

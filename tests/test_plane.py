@@ -19,7 +19,7 @@ from revfree import (
     plane_verify,
 )
 from revfree import plane as plane_module
-from revfree.galois import GF, MAX_EXTENSION_DEGREE
+from revfree.galois import GF
 from revfree.plane import AxiomCheck, PlaneReport
 
 ORDERS = [2, 3, 4, 5, 7, 8, 9]
@@ -47,10 +47,7 @@ def dot_product_plane(spec):
     return ProjectivePlane(order=q, points=tuple(points), lines=tuple(lines))
 
 
-BUILT_ORDERS = [
-    q for q in range(2, 33)
-    if factor_prime_power(q) and factor_prime_power(q)[1] <= MAX_EXTENSION_DEGREE
-]
+BUILT_ORDERS = [q for q in range(2, 33) if factor_prime_power(q)]
 
 
 @pytest.mark.parametrize("q", BUILT_ORDERS)
@@ -188,16 +185,14 @@ def test_json_rejects_bool_order():
         plane_from_json_dict(doc)
 
 
-def test_plane_order_guard(monkeypatch):
-    assert plane_module.MAX_PLANE_ORDER == 101
-
-    def no_tables(spec):
-        raise AssertionError("field tables built for a refused plane")
-
-    monkeypatch.setattr(plane_module, "GF", no_tables)
-    for spec in (field_make(103, 1), field_make(11, 2), field_make(1021, 1)):
-        with pytest.raises(CapacityError, match="plane order"):
-            plane_build(spec)
+def test_plane_order_guard():
+    # the plane's guard is its field's: no FieldSpec of order over 101 exists
+    assert not hasattr(plane_module, "MAX_PLANE_ORDER")
+    for p, e in ((103, 1), (11, 2), (1021, 1), (2, 7)):
+        with pytest.raises(CapacityError, match="over the limit 101"):
+            plane_build(field_make(p, e))
+    plane = plane_build(field_make(101, 1))
+    assert len(plane.lines) == 101 * 101 + 101 + 1
 
 
 @pytest.mark.parametrize("line, point", [((0, 1, 7), 7), ((-1, 0, 1), -1)])
