@@ -10,7 +10,6 @@ reverse-free codes.
 
 from .bitmatrix import (
     BinaryMatrix,
-    S_PATTERN,
     SCountReport,
     contains,
     count_s,
@@ -82,7 +81,6 @@ __all__ = [
     "PlaneReport",
     "PreconditionError",
     "ProjectivePlane",
-    "S_PATTERN",
     "SCountReport",
     "SampleResult",
     "ShrinkState",

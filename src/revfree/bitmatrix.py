@@ -2,8 +2,9 @@
 
 The S pattern is the 2x2 all-ones matrix; an occurrence of S in a matrix is
 a pair of rows and a pair of columns whose four intersections are all 1
-(a K_{2,2} in the bipartite adjacency reading).  Everything here treats
-matrices as immutable values.
+(a K_{2,2} in the bipartite adjacency reading), so a matrix is S-free when
+``pair_overlaps``, the one sweep over row pairs, finds no two rows sharing
+two columns.  Everything here treats matrices as immutable values.
 
 Exact permanents use Glynn's formula with the signs walked in Gray-code
 order: 2^(n-1) terms, each formed from n running row sums, in O(n) memory.
@@ -140,9 +141,6 @@ def _check_shape(rows, cols):
         raise PreconditionError("matrix must have at least one row and one column")
 
 
-S_PATTERN = BinaryMatrix(2, 2, (3, 3))
-
-
 # -- pattern containment ----------------------------------------------------
 
 
@@ -181,6 +179,20 @@ def contains(haystack: BinaryMatrix, pattern: BinaryMatrix):
         else:
             return rowsel, tuple(colsel)
     return None
+
+
+def pair_overlaps(masks, duals):
+    """Yield ``(i, once, twice)``, the masks of the j with masks[j] sharing >= 1
+    and >= 2 bits with masks[i]; bit i of ``duals[x]`` is bit x of masks[i]."""
+    for i, mask in enumerate(masks):
+        once = twice = 0
+        while mask:
+            low = mask & -mask
+            dual = duals[low.bit_length() - 1]
+            twice |= once & dual
+            once |= dual
+            mask ^= low
+        yield i, once, twice
 
 
 # -- S-occurrence counting ---------------------------------------------------

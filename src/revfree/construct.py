@@ -3,9 +3,9 @@
 Three combinators, each preserving reverse-freeness:
 
   * plane matchings: the permutation matrices dominated by an S-free 0/1
-    matrix (e.g. a projective-plane incidence matrix) form a reverse-free
-    permutation code, because a reverse between two matchings would place
-    all four corners of an S inside the host matrix;
+    matrix (such as a projective-plane incidence matrix, checked by the one
+    pair sweep ``bitmatrix.pair_overlaps``) form a reverse-free permutation
+    code, since a reverse between two matchings would place an S in the host;
   * padding: appending the fixed tail (n'+1, ..., n) to every word of a
     reverse-free permutation code over [n'] keeps it reverse-free;
   * lifting: replacing each letter of a k-permutation by any representative
@@ -23,10 +23,10 @@ import random
 from dataclasses import asdict, astuple, dataclass, fields
 from itertools import chain, islice, product
 
-from .bitmatrix import BinaryMatrix, S_PATTERN, contains, count_s
+from .bitmatrix import BinaryMatrix, pair_overlaps
 from .errors import PreconditionError
 from .galois import factor_prime_power
-from .words import Code
+from .words import Code, check_code_letters
 
 
 def largest_plane_order(n: int):
@@ -49,19 +49,20 @@ def _check_matching_host(matrix: BinaryMatrix):
         raise PreconditionError(
             f"matching host must be square, got {matrix.rows}x{matrix.cols}"
         )
-    for r in range(matrix.rows):
-        if matrix.row_mask(r) == 0:
-            raise PreconditionError(f"row {r} is empty")
-    for c, mask in enumerate(matrix.col_masks()):
-        if mask == 0:
-            raise PreconditionError(f"column {c} is empty")
-    if count_s(matrix).exact_count:
-        witness = contains(matrix, S_PATTERN)
-        raise PreconditionError(
-            f"host matrix contains the S pattern at rows {witness[0]} "
-            f"cols {witness[1]}; matchings would not be reverse-free",
-            witness=witness,
-        )
+    rows, cols = matrix.row_masks(), matrix.col_masks()
+    for kind, masks in (("row", rows), ("column", cols)):
+        if 0 in masks:
+            raise PreconditionError(f"{kind} {masks.index(0)} is empty")
+    # the first S in lexicographic order: least i, then least j > i, sharing two columns
+    for i, _, twice in pair_overlaps(rows, cols):
+        if above := twice >> (i + 1):
+            j = i + (above & -above).bit_length()
+            witness = ((i, j), tuple(c for c, m in enumerate(cols) if m >> i & m >> j & 1)[:2])
+            raise PreconditionError(
+                f"host matrix contains the S pattern at rows {witness[0]} "
+                f"cols {witness[1]}; matchings would not be reverse-free",
+                witness=witness,
+            )
 
 
 def _check_count(name, value):
@@ -225,6 +226,7 @@ def pad_code(code: Code, n: int) -> Code:
         raise PreconditionError("padding requires a permutation code (k = n)")
     if n < code.n:
         raise PreconditionError(f"target alphabet {n} smaller than current {code.n}")
+    check_code_letters(len(code.words), n)
     tail = tuple(range(code.n, n))
     return Code(
         n=n,
@@ -235,8 +237,9 @@ def pad_code(code: Code, n: int) -> Code:
 
 
 def residue_classes(n: int, k: int):
-    """For each residue 0..k-1, the ascending letters of [n] congruent to it."""
-    return [tuple(range(rho, n, k)) for rho in range(k)]
+    """For each residue 0..k-1, the ascending letters of [n] congruent to it,
+    as a range."""
+    return [range(rho, n, k) for rho in range(k)]
 
 
 def lift_code(code: Code, n: int, limit: int | None = None) -> Code:
@@ -254,9 +257,14 @@ def lift_code(code: Code, n: int, limit: int | None = None) -> Code:
     k = code.k
     if n < k:
         raise PreconditionError(f"target alphabet {n} smaller than word length {k}")
+    size = lift_size(code, n)
     if limit is not None:
         _check_count("limit", limit)
-    classes = residue_classes(n, k)
+        size = min(size, limit)
+    check_code_letters(size, k)
+    # the first L words of a lexicographic product use at most the first L
+    # members of each factor, so [n] is never listed in full under a limit
+    classes = [cls[:limit] for cls in residue_classes(n, k)]
     lifted = chain.from_iterable(
         product(*(classes[c % k] for c in pi)) for pi in code.words
     )
@@ -265,11 +273,7 @@ def lift_code(code: Code, n: int, limit: int | None = None) -> Code:
 
 def lift_size(code: Code, n: int) -> int:
     """Exact size of the full lift: |code| * prod of residue class sizes."""
-    k = code.k
-    per_word = 1
-    for cls in residue_classes(n, k):
-        per_word *= len(cls)
-    return len(code.words) * per_word
+    return len(code.words) * math.prod(map(len, residue_classes(n, code.k)))
 
 
 # -- bound reporting ------------------------------------------------------------

@@ -18,7 +18,7 @@ from itertools import combinations, permutations, product
 from operator import itemgetter
 
 from .errors import CapacityError, PreconditionError
-from .words import Code
+from .words import Code, check_code_letters
 
 VERTEX_LIMIT = 10_000
 ORACLE_VERTEX_LIMIT = 20
@@ -61,6 +61,7 @@ def build_conflict_graph(n: int, k: int, repetition_free: bool) -> ConflictGraph
             f"conflict graph would have at least {total} vertices, over the "
             f"{VERTEX_LIMIT} limit"
         )
+    check_code_letters(total, k)
     if repetition_free:
         # permutations() allocates k counters even when k > n leaves no word
         words = tuple(permutations(range(n), k)) if total else ()

@@ -21,12 +21,11 @@ The six axioms checked by :func:`plane_verify`:
 A ``ProjectivePlane`` refuses a bad order or point index when it is made,
 so the axioms are checked on well-formed documents only.  P1 to P4 read the
 incidence matrix as bitmasks: one point mask per line (its row) and one line
-mask per point (its column).  For line i, ORing the line masks of i's points
-gives the lines meeting i at least once and at least twice; the first line
-j > i missing from the first set or present in the second fails P1.  P2 is
-the same pass with points and lines swapped, and P3 and P4 read the row and
-column weights.  When the standard frame fails P0, the frame search prunes
-with the same masks (see ``_check_p0``).
+mask per point (its column).  P1 and P2 are the one pair sweep,
+``bitmatrix.pair_overlaps``, over the lines and over the points: the first
+pair i < j sharing other than exactly one element fails.  P3 and P4 read the
+row and column weights.  When the standard frame fails P0, the frame search
+prunes with the same masks (see ``_check_p0``).
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .bitmatrix import BinaryMatrix
+from .bitmatrix import BinaryMatrix, pair_overlaps
 from .errors import PreconditionError, _read_document
 from .galois import GF, FieldSpec
 
@@ -141,22 +140,12 @@ def _line_masks(plane):
 
 
 def _check_pairs(axiom, masks, duals, detail):
-    """Fail on the first i < j whose masks share other than exactly one bit;
-    bit i of ``duals[x]`` is bit x of ``masks[i]``."""
+    """Fail on the first i < j whose masks share other than exactly one bit."""
     full = (1 << len(masks)) - 1
-    for i, mask in enumerate(masks):
-        once = twice = 0
-        bits = mask
-        while bits:
-            low = bits & -bits
-            dual = duals[low.bit_length() - 1]
-            twice |= once & dual
-            once |= dual
-            bits ^= low
-        bad = ((~once | twice) & full) >> (i + 1)
-        if bad:
+    for i, once, twice in pair_overlaps(masks, duals):
+        if bad := ((~once | twice) & full) >> (i + 1):
             j = i + (bad & -bad).bit_length()
-            size = (mask & masks[j]).bit_count()
+            size = (masks[i] & masks[j]).bit_count()
             return AxiomCheck(axiom, False, detail.format(i, j, size))
     return AxiomCheck(axiom, True)
 

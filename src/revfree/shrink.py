@@ -41,7 +41,7 @@ import math
 from collections import Counter
 from dataclasses import asdict, dataclass
 
-from .bitmatrix import BinaryMatrix, count_s
+from .bitmatrix import BinaryMatrix, count_s, pair_overlaps
 from .errors import InvariantError, PreconditionError
 from .words import Code, verify_reverse_free
 
@@ -169,6 +169,12 @@ def _step(state: ShrinkState):
 
     pairs = avoided_pairs(state)
     if not pairs:
+        # an S at rows i, j and columns a, b with neither (i,a)-(j,b) nor
+        # (i,b)-(j,a) avoided would be a reverse between two kept words
+        overall = state.overall
+        if any(twice >> (i + 1) for i, _, twice in
+               pair_overlaps(overall.row_masks(), overall.col_masks())):
+            raise InvariantError("no pair is avoided, yet the overall matrix holds an S")
         return None
     # a generator, not itertools.chain: the first Counter over a chain adds a
     # Mapping-check cache entry mid-run that pins ~2 MB of a 60K-word run's heap
@@ -260,8 +266,8 @@ def run_shrink(
     Light steps take strict precedence over heavy steps.  The input must be
     reverse-free; every executed step's guarantees are asserted.  When the
     loop ends with neither a light entry nor an avoided pair, the overall
-    matrix is necessarily S-free.  A threshold that is not finite raises
-    ``PreconditionError``.
+    matrix is necessarily S-free, and the pair sweep asserts it.  A
+    threshold that is not finite raises ``PreconditionError``.
     """
     if not math.isfinite(density_threshold):
         raise PreconditionError(

@@ -22,9 +22,24 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .bitmatrix import BinaryMatrix
-from .errors import PreconditionError, _read_document
+from .errors import CapacityError, PreconditionError, _read_document
 
 Word = tuple  # letters as a tuple of ints, 0-based
+
+# a code costs about 125 bytes of peak RSS per letter while it is built and
+# written as JSON: `construct pad` of the 24 Fano matchings to n = 333333
+# (8.0 M letters) peaks at 1003 MB, the n = 28 lift (2.75 M) at 338 MB
+# (2 shared vCPUs, Python 3.11), so the limit keeps a construction near 1 GB
+MAX_CODE_LETTERS = 8_000_000
+
+
+def check_code_letters(words: int, k: int) -> None:
+    """Refuse a code of ``words`` words of length k holding more than
+    ``MAX_CODE_LETTERS`` letters; called before any word is built."""
+    if words * k > MAX_CODE_LETTERS:
+        raise CapacityError(
+            f"code of {words} x {k} letters is over the limit of {MAX_CODE_LETTERS} letters"
+        )
 
 
 @dataclass(frozen=True)

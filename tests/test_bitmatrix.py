@@ -14,7 +14,6 @@ from revfree import (
     CapacityError,
     InvariantError,
     PreconditionError,
-    S_PATTERN,
     contains,
     count_s,
     permanent,
@@ -22,6 +21,8 @@ from revfree import (
     s_bound_premise_ok,
     s_lower_bound,
 )
+
+S_PATTERN = BinaryMatrix(2, 2, (3, 3))
 
 
 def naive_s_count(matrix):
@@ -259,6 +260,18 @@ class TestContains:
             m = random_matrix(rng, rng.randint(2, 7), rng.randint(2, 7))
             has_s = contains(m, S_PATTERN) is not None
             assert has_s == (count_s(m).exact_count > 0)
+
+
+class TestPairOverlaps:
+    def test_matches_row_intersections_on_random(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            m = random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8))
+            rows = m.row_masks()
+            for i, once, twice in bitmatrix.pair_overlaps(rows, m.col_masks()):
+                shared = [(rows[i] & rows[j]).bit_count() for j in range(m.rows)]
+                assert once == sum(1 << j for j, s in enumerate(shared) if s >= 1)
+                assert twice == sum(1 << j for j, s in enumerate(shared) if s >= 2)
 
 
 class TestCountS:

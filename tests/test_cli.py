@@ -1,7 +1,9 @@
 import json
 import re
+import resource
 import subprocess
 import sys
+import time
 from itertools import combinations
 
 import pytest
@@ -486,6 +488,60 @@ class TestUsageErrors:
         code, _, err = run_cli(capsys, "verify", "reverse-free", "--in", str(code_path))
         assert code == 2
         assert "words[1][1] = 4 is not a letter in 1..3" in err
+
+
+ADDRESS_SPACE_CAP = 1_500_000_000
+
+
+def run_capped_cli(*argv):
+    """The CLI in a fresh interpreter whose own address space is capped, so
+    a list of [n] or of a huge code fails fast instead of filling memory;
+    returns the process and its wall time."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_CAP, ADDRESS_SPACE_CAP))
+
+    start = time.perf_counter()
+    result = subprocess.run([sys.executable, "-m", "revfree", *argv], capture_output=True,
+                            text=True, timeout=60, preexec_fn=cap)
+    return result, time.perf_counter() - start
+
+
+class TestLettersGuard:
+    @pytest.fixture
+    def fano24(self, capsys, tmp_path):
+        path = tmp_path / "fano24.json"
+        assert run_cli(capsys, "construct", "plane-code", "--q", "2", "--out", str(path))[0] == 0
+        return str(path)
+
+    def test_limited_lift_of_a_huge_alphabet(self, fano24):
+        # the first 5 words use the first 5 members of each residue class,
+        # all of which lie below 35
+        huge, _ = run_capped_cli("construct", "lift", "--in", fano24,
+                                 "--n", "100000000", "--limit", "5")
+        small, _ = run_capped_cli("construct", "lift", "--in", fano24, "--n", "35", "--limit", "5")
+        assert huge.returncode == small.returncode == 0, huge.stderr
+        huge_doc, small_doc = json.loads(huge.stdout), json.loads(small.stdout)
+        assert (huge_doc["n"], small_doc["n"]) == (100_000_000, 35)
+        assert huge_doc["words"] == small_doc["words"]
+        assert len(huge_doc["words"]) == 5
+
+    @pytest.mark.parametrize(
+        "argv, letters",
+        [
+            (["exact", "--n", "1", "--k", "100000000", "--mode", "Fbar"], "1 x 100000000"),
+            (["construct", "pad", "--in", "{fano24}", "--n", "100000000"], "24 x 100000000"),
+            (["construct", "lift", "--in", "{fano24}", "--n", "100000000"], r"\d+ x 7"),
+        ],
+        ids=["exact", "pad", "lift"],
+    )
+    def test_refused_before_allocating(self, fano24, argv, letters):
+        result, elapsed = run_capped_cli(*(a.format(fano24=fano24) for a in argv))
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == ""
+        assert re.fullmatch(rf"error: code of {letters} letters is over the limit of "
+                            rf"\d+ letters\n", result.stderr)
+        assert elapsed < 1.0
 
 
 def test_module_entry_point(tmp_path):

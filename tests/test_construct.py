@@ -3,13 +3,18 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revfree import (
     BinaryMatrix,
+    CapacityError,
     Code,
     PreconditionError,
     SampleResult,
     bound_table,
+    build_conflict_graph,
+    contains,
     factor_prime_power,
     field_make,
     incidence_matrix,
@@ -24,13 +29,27 @@ from revfree import (
     verify_reverse_free,
 )
 from revfree.construct import ATTEMPT_BUDGET_FACTOR, BoundsReport, _augmenting_matching, residue_classes
-from revfree.words import overall_matrix
+from revfree import words as words_module
+from revfree.words import MAX_CODE_LETTERS, check_code_letters, overall_matrix
 
 
 def cyclic_shift_code(k):
     """All k cyclic shifts of the identity word; reverse-free for odd k."""
     words = tuple(tuple((i + s) % k for i in range(k)) for s in range(k))
     return Code(n=k, k=k, repetition_free=True, words=words)
+
+
+@st.composite
+def square_hosts(draw):
+    """Square 0/1 matrices of side 2 to 9 at a drawn density, each row and
+    column kept nonempty by a drawn permutation's 1s."""
+    n = draw(st.integers(2, 9))
+    density = draw(st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9]))
+    perm = draw(st.permutations(range(n)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    rows = [1 << perm[r] | sum(1 << c for c in range(n) if rng.random() < density)
+            for r in range(n)]
+    return BinaryMatrix(n, n, rows)
 
 
 def recursive_matchings(matrix, limit=None):
@@ -218,6 +237,22 @@ class TestPlanePermutationCode:
         with pytest.raises(PreconditionError) as info:
             plane_permutation_code(host)
         assert info.value.witness == ((0, 1), (0, 1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(square_hosts())
+    def test_s_witness_is_the_first_that_contains_finds(self, host):
+        witness = contains(host, BinaryMatrix(2, 2, (3, 3)))
+        for build in (plane_permutation_code, sample_plane_permutations):
+            if witness is None:
+                build(host, 1)
+                continue
+            with pytest.raises(PreconditionError) as info:
+                build(host, 1)
+            assert str(info.value) == (
+                f"host matrix contains the S pattern at rows {witness[0]} "
+                f"cols {witness[1]}; matchings would not be reverse-free"
+            )
+            assert info.value.witness == witness
 
     def test_refuses_empty_row_or_column(self):
         with pytest.raises(PreconditionError):
@@ -414,6 +449,39 @@ class TestLifting:
     def test_rejects_small_target(self):
         with pytest.raises(PreconditionError):
             lift_code(cyclic_shift_code(3), 2)
+
+    def test_residue_classes_are_ranges(self):
+        assert residue_classes(10, 3) == [range(0, 10, 3), range(1, 10, 3), range(2, 10, 3)]
+
+
+class TestLettersGuard:
+    # huge sizes are refused in a capped child process (test_cli); here the
+    # limit is lowered so that each caller is checked at its boundary
+
+    def test_n28_lift_fits(self, fano_code24):
+        assert lift_size(fano_code24, 28) * 7 == 2_752_512 <= MAX_CODE_LETTERS
+        check_code_letters(lift_size(fano_code24, 28), 7)
+
+    def test_pad(self, monkeypatch, fano_code24):
+        monkeypatch.setattr(words_module, "MAX_CODE_LETTERS", 24 * 8)
+        assert len(pad_code(fano_code24, 8)) == 24
+        with pytest.raises(CapacityError, match="code of 24 x 9 letters is over the limit of 192"):
+            pad_code(fano_code24, 9)
+
+    def test_lift(self, monkeypatch, fano_code24):
+        monkeypatch.setattr(words_module, "MAX_CODE_LETTERS", 3072 * 7)
+        assert len(lift_code(fano_code24, 14)) == 3072
+        assert len(lift_code(fano_code24, 10 ** 8, limit=3072)) == 3072
+        with pytest.raises(CapacityError, match=f"code of {lift_size(fano_code24, 15)} x 7"):
+            lift_code(fano_code24, 15)
+        with pytest.raises(CapacityError, match="code of 3073 x 7"):
+            lift_code(fano_code24, 10 ** 8, limit=3073)
+
+    def test_conflict_graph(self, monkeypatch):
+        monkeypatch.setattr(words_module, "MAX_CODE_LETTERS", 8 * 3)
+        assert len(build_conflict_graph(2, 3, False).words) == 8
+        with pytest.raises(CapacityError, match="code of 16 x 4"):
+            build_conflict_graph(2, 4, False)
 
 
 class TestBoundTable:

@@ -13,6 +13,7 @@ from revfree import (
     light_entries,
     run_shrink,
 )
+from revfree import shrink
 from revfree.shrink import _step
 from revfree.words import find_reverse, overall_matrix
 
@@ -202,6 +203,16 @@ class TestHeavyStep:
 
 
 class TestRunShrink:
+    def test_asserts_the_end_state_is_s_free(self, monkeypatch):
+        # rows 0 and 1 of the overall matrix share letters 0, 1 and 3, and no
+        # entry is light (each has 1 of 4 words, above 4/5); with no avoided
+        # pair reported, the loop would end on a matrix holding an S
+        code = make_code(5, 2, [(0, 2), (1, 3), (3, 0), (4, 1)])
+        assert light_entries(ShrinkState.from_code(code)) == []
+        monkeypatch.setattr(shrink, "avoided_pairs", lambda state: [])
+        with pytest.raises(InvariantError, match="overall matrix holds an S"):
+            run_shrink(code, density_threshold=0.0)
+
     def test_rejects_non_reverse_free(self):
         code = make_code(3, 3, [(0, 1, 2), (1, 0, 2)])
         with pytest.raises(PreconditionError) as info:
