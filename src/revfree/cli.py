@@ -169,7 +169,7 @@ def _cmd_exact(args) -> int:
             "k": args.k,
             "mode": args.mode,
             "value": value,
-            "witness": [[c + 1 for c in w] for w in witness.words],
+            "witness": code_to_json_dict(witness)["words"],
         },
         None,
     )

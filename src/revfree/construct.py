@@ -24,7 +24,7 @@ from dataclasses import asdict, astuple, dataclass, fields
 from itertools import chain, islice, product
 
 from .bitmatrix import BinaryMatrix, pair_overlaps
-from .errors import PreconditionError
+from .errors import CapacityError, PreconditionError
 from .galois import factor_prime_power
 from .words import Code, check_code_letters
 
@@ -125,6 +125,10 @@ class SampleResult:
 
 
 ATTEMPT_BUDGET_FACTOR = 100
+# the largest plane side whose one-matching sample fits a 60 s budget: a
+# fresh `construct plane-code --sample 1` takes 48 s at q = 81, 57-60 s at
+# q = 83 (side 6973) and 97-99 s at q = 89 (2 shared vCPUs, Python 3.11)
+SAMPLE_MAX_SIDE = 6973
 
 
 def sample_plane_permutations(
@@ -143,8 +147,11 @@ def sample_plane_permutations(
     through the inverse priority.  Results are deduplicated until ``count``
     distinct words are found, the budget of ``100 * count`` attempts is
     exhausted, or an attempt fails, since then every later one would too.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed.  Sides above ``SAMPLE_MAX_SIDE`` raise
+    ``CapacityError`` before any search.
     """
+    if matrix.rows > SAMPLE_MAX_SIDE:
+        raise CapacityError(f"side {matrix.rows} exceeds sampling limit {SAMPLE_MAX_SIDE}")
     _check_matching_host(matrix)
     _check_count("count", count)
     n = matrix.rows

@@ -1,9 +1,8 @@
 """Exact maximum reverse-free / full-of-flips code sizes at desk scale.
 
 The words of [n]^k (or its repetition-free subset) become vertices of a
-conflict graph whose edges join word pairs having a reverse.  The graph is
-built one position pair i < j at a time: the words holding letters (x, y)
-there, x != y, are joined to all words holding (y, x).  A maximum
+conflict graph whose edges join word pairs having a reverse; each word's
+adjacency mask is its ``words.reverse_partners`` mask.  A maximum
 reverse-free code is then a maximum independent set and a maximum
 full-of-flips code a maximum clique.  Both are solved by one clique kernel
 (independent set goes through the complement) with greedy-coloring bounds,
@@ -13,12 +12,11 @@ plus a brute-force subset oracle for cross-validation on tiny instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections import defaultdict
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 from operator import itemgetter
 
 from .errors import CapacityError, PreconditionError
-from .words import Code, check_code_letters
+from .words import Code, check_code_letters, reverse_partners
 
 VERTEX_LIMIT = 10_000
 ORACLE_VERTEX_LIMIT = 20
@@ -51,8 +49,8 @@ def word_universe_size(n: int, k: int, repetition_free: bool) -> int:
 
 
 def build_conflict_graph(n: int, k: int, repetition_free: bool) -> ConflictGraph:
-    """Enumerate the word universe and connect pairs having a reverse,
-    grouping the words by their letter pair at each position pair."""
+    """Enumerate the word universe and connect the pairs having a reverse,
+    each word to its ``reverse_partners`` mask."""
     if n < 1 or k < 1:
         raise PreconditionError("need n >= 1 and k >= 1")
     total = word_universe_size(n, k, repetition_free)
@@ -67,21 +65,8 @@ def build_conflict_graph(n: int, k: int, repetition_free: bool) -> ConflictGraph
         words = tuple(permutations(range(n), k)) if total else ()
     else:
         words = tuple(product(range(n), repeat=k))
-    adj = [0] * len(words)
-    # fewer than two words have no pair to join, however long they are
-    for i, j in combinations(range(k), 2) if len(words) > 1 else ():
-        groups = defaultdict(list)
-        for v, word in enumerate(words):
-            groups[word[i], word[j]].append(v)
-        masks = {key: sum(1 << v for v in group) for key, group in groups.items()}
-        for (x, y), group in groups.items():
-            if x != y and (y, x) in masks:
-                partners = masks[y, x]
-                for v in group:
-                    adj[v] |= partners
-    return ConflictGraph(
-        n=n, k=k, repetition_free=repetition_free, words=words, adj=tuple(adj)
-    )
+    return ConflictGraph(n=n, k=k, repetition_free=repetition_free, words=words,
+                         adj=tuple(reverse_partners(words)))
 
 
 # -- clique kernel -------------------------------------------------------------

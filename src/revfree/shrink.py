@@ -6,9 +6,10 @@ matrices) and three derived quantities: its weight, its density
 
 The state holds, for each overall 1-entry (row, column), the bitmask of
 kept input words with that letter at that position.  The masks are built
-once, in one pass over the input; a step ANDs them with the mask of the
-words it keeps, and the statistics follow from the restricted masks.  A
-``Code`` of the kept words is built only when ``state.code`` is read.
+once, by ``words.support_masks``, for the letters that occur; a step ANDs
+them with the mask of the words it keeps, and the statistics follow from
+the restricted masks.  A ``Code`` of the kept words is built only when
+``state.code`` is read.
 
 A 1-entry of the overall matrix is *light* when at most |U|/n words support
 it; an *avoided pair* is two 1-entries in distinct rows and distinct
@@ -40,10 +41,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
+from itertools import combinations
 
 from .bitmatrix import BinaryMatrix, count_s, pair_overlaps
 from .errors import InvariantError, PreconditionError
-from .words import Code, verify_reverse_free
+from .words import Code, support_masks, verify_reverse_free
 
 DEFAULT_DENSITY_THRESHOLD = 10.0
 
@@ -73,20 +75,9 @@ class ShrinkState:
 
     @classmethod
     def from_code(cls, code: Code) -> "ShrinkState":
-        m = len(code.words)
-        width = (m + 7) >> 3
-        bitmaps = [[bytearray(width) for _ in range(code.n)] for _ in range(code.k)]
-        for idx, w in enumerate(code.words):
-            byte = idx >> 3
-            bit = 1 << (idx & 7)
-            for row, c in zip(bitmaps, w):
-                row[c][byte] |= bit
-        support = {
-            (i, c): int.from_bytes(bitmap, "little")
-            for i, row in enumerate(bitmaps)
-            for c, bitmap in enumerate(row)
-        }
-        return cls(code, (1 << m) - 1, support, code)
+        support = {(i, c): mask for i, masks in enumerate(support_masks(code.words))
+                   for c, mask in masks.items()}
+        return cls(code, (1 << len(code.words)) - 1, support, code)
 
     def restrict(self, keep: int) -> "ShrinkState":
         """The state of the words whose index bit is set in ``keep``."""
@@ -126,19 +117,8 @@ def avoided_pairs(state: ShrinkState):
     co-occur inside a single word; sorted, each pair ordered ascending."""
     if not state.size:
         raise PreconditionError("avoided pairs of an empty code are undefined")
-    entries = sorted(state._support)
-    support = state._support
-    out = []
-    for a in range(len(entries)):
-        r1, c1 = entries[a]
-        mask1 = support[entries[a]]
-        for b in range(a + 1, len(entries)):
-            r2, c2 = entries[b]
-            if r1 == r2 or c1 == c2:
-                continue
-            if mask1 & support[entries[b]] == 0:
-                out.append((entries[a], entries[b]))
-    return out
+    return [(e1, e2) for (e1, m1), (e2, m2) in combinations(sorted(state._support.items()), 2)
+            if e1[0] != e2[0] and e1[1] != e2[1] and not m1 & m2]
 
 
 # -- the step -------------------------------------------------------------------
@@ -171,9 +151,11 @@ def _step(state: ShrinkState):
     if not pairs:
         # an S at rows i, j and columns a, b with neither (i,a)-(j,b) nor
         # (i,b)-(j,a) avoided would be a reverse between two kept words
-        overall = state.overall
+        duals: dict = {}  # of the occurring columns only, not a list of all n
+        for i, c in state._support:
+            duals[c] = duals.get(c, 0) | 1 << i
         if any(twice >> (i + 1) for i, _, twice in
-               pair_overlaps(overall.row_masks(), overall.col_masks())):
+               pair_overlaps(state.overall.row_masks(), duals)):
             raise InvariantError("no pair is avoided, yet the overall matrix holds an S")
         return None
     # a generator, not itertools.chain: the first Counter over a chain adds a

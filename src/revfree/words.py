@@ -5,12 +5,14 @@ w_i != w_j, w_i = x_j and w_j = x_i: the same two distinct letters sit on
 the same two positions in swapped order.  A code is *reverse-free* when no
 pair of its words has a reverse, and *full of flips* when every pair does.
 
-One kernel, ``reverses_after``, holds the reverse test: it scans one word
-against the run of later words.  ``find_reverse``, the full-of-flips
-verifier and the pairwise verifier on codes of at most 2k words all go
-through it.  On more words the pairwise verifier reads each position
-pair's first occurrence of every letter pair instead, and the signature
-verifier is the independent second route.
+``support_masks`` gives, per position, the mask of the words holding each
+letter found there; ``reverse_partners``, the one reverse kernel, ANDs two
+such masks per position pair.  The exact conflict graph, the pairwise
+verifier on at most 2k words and the shrink state read these masks, which
+cost by the code's own letters, never by the alphabet size n.  On more
+words the pairwise verifier reads first occurrences per position pair; the
+signature verifier is the independent second route.  ``find_reverse``
+tests one word pair in O(k), as the full-of-flips verifier does.
 
 Letters are 0-based internally (0..n-1) and 1-based in JSON, matching the
 usual 1..n presentation at the boundary.
@@ -18,6 +20,7 @@ usual 1..n presentation at the boundary.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain
 
@@ -104,46 +107,66 @@ def _first_fault(words, n: int, k: int, repetition_free: bool, base: int) -> str
 # -- the reverse relation -----------------------------------------------------
 
 
-def reverses_after(words, a: int, n: int):
-    """Yield ``(b, (i, j))``, b ascending, for each b > a at which words[a]
-    and words[b] have a reverse, with the smallest such (i, j), i < j.
+def support_masks(words) -> list:
+    """For each position i, a dict from each letter found at i to the mask
+    of the indices of the words holding it there: O(M k) steps, and only
+    letters that occur take space."""
+    width = (len(words) + 7) >> 3
+    support = []
+    for column in zip(*words):
+        bitmaps: dict = defaultdict(lambda: bytearray(width))
+        for v, c in enumerate(column):
+            bitmaps[c][v >> 3] |= 1 << (v & 7)
+        support.append({c: int.from_bytes(b, "little") for c, b in bitmaps.items()})
+    return support
 
-    Letters lie in 0..n-1.  Expected O(k) per later word: for each position
-    i with w_i != x_i, the candidate partners are the positions of x_i in w.
-    The first hit has j > i, because a reverse at (j, i) is found earlier.
+
+def reverse_partners(words):
+    """Yield, word by word, the mask of the word indices it has a reverse with.
+
+    Words x reversing with w at (i, j) are exactly those holding w_j at i and
+    w_i at j, so the mask ORs ``support[i][w_j] & support[j][w_i]`` over
+    i < j with w_i != w_j, taking j only from the positions where some word
+    holds w_i: O(M k r) AND steps, r the most positions a letter occurs at.
     """
-    w = words[a]
-    positions = [()] * n
-    for i, c in enumerate(w):
-        positions[c] += (i,)
-    letters = list(enumerate(w))
-    for b in range(a + 1, len(words)):
-        x = words[b]
-        for i, wi in letters:
-            xi = x[i]
-            if wi != xi:
-                # w_j = x_i for every candidate j, and w_i != w_j since w_i != x_i
-                for j in positions[xi]:
-                    if x[j] == wi:
-                        break
-                else:
-                    continue
-                yield b, (i, j)
-                break
+    if len(words) < 2:  # a lone word has no partner, however long it is
+        yield from [0] * len(words)
+        return
+    support = support_masks(words)
+    where: dict = {}
+    for j, masks in enumerate(support):
+        for c in masks:
+            where.setdefault(c, []).append(j)
+    for w in words:
+        partners = 0
+        for i, wi in enumerate(w):
+            at_i = support[i]
+            for j in where[wi]:
+                if j > i and (wj := w[j]) != wi and wj in at_i:
+                    partners |= at_i[wj] & support[j][wi]
+        yield partners
 
 
 def find_reverse(w, x):
     """Smallest (i, j), i < j, at which w and x have a reverse, else None.
 
-    Letters are nonnegative integers."""
+    Letters are nonnegative integers.  Expected O(k): for each position i
+    with w_i != x_i, the candidate partners are the positions of x_i in w.
+    The first hit has j > i, because a reverse at (j, i) is found earlier.
+    """
     if len(w) != len(x):
         raise PreconditionError(f"length mismatch: {len(w)} vs {len(x)}")
-    letters = (*w, *x)
-    if min(letters, default=0) < 0:
-        raise PreconditionError(f"letter {min(letters)} is negative")
-    n = max(letters, default=-1) + 1
-    for _, ij in reverses_after((w, x), 0, n):
-        return ij
+    if (low := min((*w, *x), default=0)) < 0:
+        raise PreconditionError(f"letter {low} is negative")
+    positions: dict = {}
+    for j, c in enumerate(w):
+        positions.setdefault(c, []).append(j)
+    for i, (wi, xi) in enumerate(zip(w, x)):
+        if wi != xi:
+            # w_j = x_i for every candidate j, and w_i != w_j since w_i != x_i
+            for j in positions.get(xi, ()):
+                if x[j] == wi:
+                    return i, j
     return None
 
 
@@ -155,10 +178,10 @@ def verify_reverse_free(code: Code, method: str = "pairwise"):
 
     ``method`` selects one of two independent algorithms that must agree,
     for M words of length k.  ``"pairwise"`` returns the lexicographically
-    first (a, b, i, j) over all reverses in O(min(M^2 k, M k^2)): on
-    M <= 2k words it scans word pairs with the reverse test, on more it
-    takes, at each position pair, the first word of each letter pair's two
-    orientations.  ``"signature"`` hashes the words'
+    first (a, b, i, j) over all reverses: on M <= 2k words it takes the
+    first word with a later partner from ``reverse_partners`` (O(M k r)),
+    on more, at each position pair, the first word of each letter pair's
+    two orientations (O(M k^2)).  ``"signature"`` hashes the words'
     letter pairs at each position pair on its own, looks for a swapped
     collision and, only where one exists, finds the first later word b in
     an ordered pass (O(M k^2)); its witness has the smallest b, then the
@@ -177,9 +200,11 @@ def verify_reverse_free(code: Code, method: str = "pairwise"):
 def _reverse_free_pairwise(code: Code):
     words = code.words
     if len(words) <= 2 * code.k:
-        for a in range(len(words)):
-            for b, (i, j) in reverses_after(words, a, code.n):
-                return False, (a, b, i, j)
+        # the first a with a later partner, its lowest b, then their first (i, j)
+        for a, partners in enumerate(reverse_partners(words)):
+            if later := partners >> (a + 1):
+                b = a + (later & -later).bit_length()
+                return False, (a, b, *find_reverse(words[a], words[b]))
         return True, None
     # Many words: at each position pair, the words holding (x, y) and those
     # holding (y, x) form every reverse of that letter class, and the first
@@ -234,14 +259,10 @@ def verify_full_of_flips(code: Code):
     reverse-free pair in code order.
     """
     words = code.words
-    for a in range(len(words)):
-        expected = a + 1
-        for b, _ in reverses_after(words, a, code.n):
-            if b != expected:
-                break
-            expected += 1
-        if expected < len(words):
-            return False, (a, expected)
+    for a, w in enumerate(words):
+        for b in range(a + 1, len(words)):
+            if find_reverse(w, words[b]) is None:
+                return False, (a, b)
     return True, None
 
 

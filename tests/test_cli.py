@@ -9,6 +9,7 @@ from itertools import combinations
 import pytest
 
 import revfree
+from revfree import construct
 from revfree.cli import main
 
 
@@ -162,6 +163,12 @@ class TestConstructCommands:
         )
         assert out1 == out2
         assert len(json.loads(out1)["words"]) == 6
+
+    def test_plane_code_sample_over_the_side_limit(self, capsys, monkeypatch):
+        monkeypatch.setattr(construct, "SAMPLE_MAX_SIDE", 6)
+        code, out, err = run_cli(capsys, "construct", "plane-code", "--q", "2", "--sample", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: side 7 exceeds sampling limit 6\n"
 
     def test_sample_shortfall_warns_but_succeeds(self, capsys):
         code, out, err = run_cli(
@@ -493,27 +500,28 @@ class TestUsageErrors:
 ADDRESS_SPACE_CAP = 1_500_000_000
 
 
-def run_capped_cli(*argv):
-    """The CLI in a fresh interpreter whose own address space is capped, so
-    a list of [n] or of a huge code fails fast instead of filling memory;
-    returns the process and its wall time."""
+def run_capped_cli(*argv, cap=ADDRESS_SPACE_CAP):
+    """The CLI in a fresh interpreter whose own address space is capped at
+    ``cap`` bytes, so a list of [n] or of a huge code fails fast instead of
+    filling memory; returns the process and its wall time."""
 
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_CAP, ADDRESS_SPACE_CAP))
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
     start = time.perf_counter()
     result = subprocess.run([sys.executable, "-m", "revfree", *argv], capture_output=True,
-                            text=True, timeout=60, preexec_fn=cap)
+                            text=True, timeout=60, preexec_fn=limit)
     return result, time.perf_counter() - start
 
 
-class TestLettersGuard:
-    @pytest.fixture
-    def fano24(self, capsys, tmp_path):
-        path = tmp_path / "fano24.json"
-        assert run_cli(capsys, "construct", "plane-code", "--q", "2", "--out", str(path))[0] == 0
-        return str(path)
+@pytest.fixture
+def fano24(capsys, tmp_path):
+    path = tmp_path / "fano24.json"
+    assert run_cli(capsys, "construct", "plane-code", "--q", "2", "--out", str(path))[0] == 0
+    return str(path)
 
+
+class TestLettersGuard:
     def test_limited_lift_of_a_huge_alphabet(self, fano24):
         # the first 5 words use the first 5 members of each residue class,
         # all of which lie below 35
@@ -542,6 +550,72 @@ class TestLettersGuard:
         assert re.fullmatch(rf"error: code of {letters} letters is over the limit of "
                             rf"\d+ letters\n", result.stderr)
         assert elapsed < 1.0
+
+
+REVERSE_FREE = ["verify", "reverse-free", "--method"]
+
+
+class TestHugeAlphabet:
+    """Verify and shrink cost by the code's own letters, not by n = 10^8,
+    so each command fits in 400 MB and finishes within 2 s."""
+
+    @pytest.fixture
+    def lift5(self, capsys, tmp_path, fano24):
+        path = tmp_path / "lift5.json"
+        assert run_cli(capsys, "construct", "lift", "--in", fano24, "--n", "100000000",
+                       "--limit", "5", "--out", str(path))[0] == 0
+        return str(path)
+
+    @pytest.fixture
+    def two_words(self, tmp_path):
+        path = tmp_path / "two.json"
+        write_code(path, 100_000_000, 2, [[1, 100_000_000], [100_000_000, 1]])
+        return str(path)
+
+    def run_all(self, path, expected):
+        for argv, (exit_code, check) in expected.items():
+            result, elapsed = run_capped_cli(*argv, "--in", path, cap=400_000_000)
+            assert "Traceback" not in result.stderr, (argv, result.stderr)
+            assert result.returncode == exit_code, argv
+            check(result)
+            assert elapsed < 2.0, argv
+
+    def test_lifted_code(self, lift5):
+        def reverse_free(result):
+            assert json.loads(result.stdout)["ok"] is True
+
+        def first_pair_plain(result):
+            assert json.loads(result.stdout)["witness"]["word_indices"] == [0, 1]
+
+        def untouched(result):
+            assert json.loads(result.stdout)["final_size"] == 5
+
+        self.run_all(lift5, {
+            (*REVERSE_FREE, "pairwise"): (0, reverse_free),
+            (*REVERSE_FREE, "signature"): (0, reverse_free),
+            (*REVERSE_FREE, "both"): (0, reverse_free),
+            ("verify", "full-of-flips"): (1, first_pair_plain),
+            ("shrink", "run", "--threshold", "0"): (0, untouched),
+        })
+
+    def test_two_reversed_words(self, two_words):
+        def reversed_at_1_2(result):
+            witness = json.loads(result.stdout)["witness"]
+            assert (witness["word_indices"], witness["positions"]) == ([0, 1], [1, 2])
+
+        def full_of_flips(result):
+            assert json.loads(result.stdout)["ok"] is True
+
+        def refused(result):
+            assert "input code is not reverse-free" in result.stderr
+
+        self.run_all(two_words, {
+            (*REVERSE_FREE, "pairwise"): (1, reversed_at_1_2),
+            (*REVERSE_FREE, "signature"): (1, reversed_at_1_2),
+            (*REVERSE_FREE, "both"): (1, reversed_at_1_2),
+            ("verify", "full-of-flips"): (0, full_of_flips),
+            ("shrink", "run", "--threshold", "0"): (2, refused),
+        })
 
 
 def test_module_entry_point(tmp_path):

@@ -29,6 +29,7 @@ from revfree import (
     verify_reverse_free,
 )
 from revfree.construct import ATTEMPT_BUDGET_FACTOR, BoundsReport, _augmenting_matching, residue_classes
+from revfree import construct as construct_module
 from revfree import words as words_module
 from revfree.words import MAX_CODE_LETTERS, check_code_letters, overall_matrix
 
@@ -331,6 +332,21 @@ class TestSampling:
         with pytest.raises(PreconditionError) as info:
             plane_permutation_code(fano_incidence, limit=-1)
         assert str(info.value) == "limit must be nonnegative, got -1"
+
+    def test_side_guard(self, monkeypatch):
+        side = limit = construct_module.SAMPLE_MAX_SIDE
+        # an identity host has one matching, found at once at the limit
+        result = sample_plane_permutations(BinaryMatrix(side, side, [1 << i for i in range(side)]), 1)
+        assert result.code.words == (tuple(range(side)),)
+
+        def no_search(*args):
+            raise AssertionError("a matching was searched on a refused side")
+
+        monkeypatch.setattr(construct_module, "_augmenting_matching", no_search)
+        side += 1
+        with pytest.raises(CapacityError) as info:
+            sample_plane_permutations(BinaryMatrix(side, side, [1 << i for i in range(side)]), 1)
+        assert str(info.value) == f"side {side} exceeds sampling limit {limit}"
 
     def test_zero_count(self, fano_incidence):
         result = sample_plane_permutations(fano_incidence, 0, seed=0)

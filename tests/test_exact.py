@@ -16,7 +16,7 @@ from revfree import (
     verify_reverse_free,
 )
 from revfree.exact import VERTEX_LIMIT, max_clique_vertices, word_universe_size
-from revfree.words import reverses_after
+from test_properties import reverses_after
 
 # the exact_optima benchmark shapes: (n, k, repetition_free, searched as the
 # complement), the complement being the search for F and Fbar

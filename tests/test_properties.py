@@ -1,4 +1,4 @@
-"""Property tests: the reverse kernel against the definition, verifier
+"""Property tests: the reverse-partner kernel against the definition, verifier
 agreement, the word/matrix bijection, S_n x S_k invariance, and the
 incremental shrink state against a full rebuild."""
 
@@ -17,7 +17,7 @@ from revfree import (
 )
 from revfree import words as words_module
 from revfree.shrink import _step
-from revfree.words import find_reverse, overall_matrix, reverses_after
+from revfree.words import find_reverse, overall_matrix, reverse_partners
 
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -28,6 +28,34 @@ def naive_reverse(w, x):
         if w[i] != w[j] and w[i] == x[j] and w[j] == x[i]:
             return (i, j)
     return None
+
+
+def reverses_after(words, a: int, n: int):
+    """Yield ``(b, (i, j))``, b ascending, for each b > a at which words[a]
+    and words[b] have a reverse, with the smallest such (i, j), i < j.
+
+    Letters lie in 0..n-1.  Expected O(k) per later word: for each position
+    i with w_i != x_i, the candidate partners are the positions of x_i in w.
+    The first hit has j > i, because a reverse at (j, i) is found earlier.
+    """
+    w = words[a]
+    positions = [()] * n
+    for i, c in enumerate(w):
+        positions[c] += (i,)
+    letters = list(enumerate(w))
+    for b in range(a + 1, len(words)):
+        x = words[b]
+        for i, wi in letters:
+            xi = x[i]
+            if wi != xi:
+                # w_j = x_i for every candidate j, and w_i != w_j since w_i != x_i
+                for j in positions[xi]:
+                    if x[j] == wi:
+                        break
+                else:
+                    continue
+                yield b, (i, j)
+                break
 
 
 @st.composite
@@ -45,18 +73,19 @@ def word_lists(draw, min_size=1, max_size=8):
 
 
 @PROPERTY_SETTINGS
-@given(word_lists(min_size=1, max_size=8), st.data())
-def test_kernel_matches_definition(spec, data):
-    n, _, _, words = spec
-    a = data.draw(st.integers(0, len(words) - 1))
-    expected = [
-        (b, naive_reverse(words[a], words[b]))
-        for b in range(a + 1, len(words))
-        if naive_reverse(words[a], words[b]) is not None
-    ]
-    assert list(reverses_after(words, a, n)) == expected
-    for b in range(len(words)):
-        assert find_reverse(words[a], words[b]) == naive_reverse(words[a], words[b])
+@given(word_lists(min_size=1, max_size=8))
+def test_kernel_matches_definition(spec):
+    _, _, _, words = spec
+    partners = list(reverse_partners(words))
+    assert len(partners) == len(words)
+    for a, mask in enumerate(partners):
+        assert not mask >> a & 1, "a word is its own partner"
+        assert not mask >> len(words)
+        for b in range(len(words)):
+            naive = naive_reverse(words[a], words[b])
+            assert mask >> b & 1 == (naive is not None)
+            assert mask >> b & 1 == partners[b] >> a & 1, "the relation is not symmetric"
+            assert find_reverse(words[a], words[b]) == naive
 
 
 @PROPERTY_SETTINGS
@@ -114,6 +143,7 @@ def test_reverse_relation_is_invariant_under_relabelling(spec, data):
     for method in ("pairwise", "signature"):
         verdict = verify_reverse_free(before, method)[0]
         assert verify_reverse_free(after, method)[0] == verdict
+    assert verify_full_of_flips(after)[0] == verify_full_of_flips(before)[0]
 
 
 def pairwise_scan(code):
@@ -176,19 +206,19 @@ def test_pairwise_at_the_branch_boundary(monkeypatch, words, expected):
 
     def counted(*args):
         calls.append(args)
-        return reverses_after(*args)
+        return reverse_partners(*args)
 
-    monkeypatch.setattr(words_module, "reverses_after", counted)
+    monkeypatch.setattr(words_module, "reverse_partners", counted)
     assert verify_reverse_free(code, "pairwise") == expected
-    # M <= 2k scans word pairs; M > 2k works on position pairs instead
+    # M <= 2k reads the partner masks; M > 2k works on position pairs instead
     assert bool(calls) == (len(words) <= 2 * code.k)
 
 
 def test_pairwise_on_lifted_fano_needs_no_word_scan(monkeypatch, lifted_fano_code):
     def refuse(*args):
-        raise AssertionError("word-pair scan on a many-word code")
+        raise AssertionError("partner masks built for a many-word code")
 
-    monkeypatch.setattr(words_module, "reverses_after", refuse)
+    monkeypatch.setattr(words_module, "reverse_partners", refuse)
     assert verify_reverse_free(lifted_fano_code, "pairwise") == (True, None)
 
 
