@@ -37,7 +37,7 @@ from .exact import (
     max_reverse_free,
     naive_subset_oracle,
 )
-from .galois import GF, FieldSpec, factor_prime_power, field_make, is_prime
+from .galois import GF, factor_prime_power, field_make, is_prime
 from .plane import (
     AxiomCheck,
     PlaneReport,
@@ -75,7 +75,6 @@ __all__ = [
     "CapacityError",
     "Code",
     "ConflictGraph",
-    "FieldSpec",
     "GF",
     "InvariantError",
     "PlaneReport",

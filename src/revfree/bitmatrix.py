@@ -99,9 +99,6 @@ class BinaryMatrix:
                 bits ^= low
         return out
 
-    def transpose(self) -> "BinaryMatrix":
-        return BinaryMatrix(self.cols, self.rows, self.col_masks())
-
     # -- JSON --------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -217,12 +214,16 @@ class SCountReport:
 
 
 def count_s(matrix: BinaryMatrix) -> SCountReport:
-    """Count S occurrences exactly and evaluate the analytic bound."""
-    cols = matrix.col_masks()
+    """Count S occurrences exactly and evaluate the analytic bound.
+
+    The sum of C(|a & b|, 2) over the pairs of column masks equals the sum
+    over the pairs of row masks, since both count each 2x2 all-ones
+    submatrix once; the shorter side's C(side, 2) pairs are summed."""
+    masks = matrix.row_masks() if matrix.rows <= matrix.cols else matrix.col_masks()
     exact = 0
-    for i, j in combinations(range(matrix.cols), 2):
-        r_ij = (cols[i] & cols[j]).bit_count()
-        exact += r_ij * (r_ij - 1) // 2
+    for a, b in combinations(masks, 2):
+        shared = (a & b).bit_count()
+        exact += shared * (shared - 1) // 2
     row_pairs = 0
     for r in range(matrix.rows):
         d = matrix.row_weight(r)

@@ -2,16 +2,15 @@
 
 Field elements are integers 0..q-1, each packing the coefficients of a
 polynomial over GF(p) in base p: ``c0 + c1*p + ... + c_{e-1}*p^{e-1}`` stands
-for ``c0 + c1*t + ... + c_{e-1}*t^{e-1}`` modulo the field's monic irreducible
-modulus (t itself for GF(p)).  Orders are capped at ``MAX_FIELD_ORDER``, the
-one limit on fields and on the planes PG(2, q) built over them, so
-irreducibility is checked by exhaustive factor search.  These polynomial
-routines build the tables of :class:`GF`, whose operations are lookups.
+for ``c0 + c1*t + ... + c_{e-1}*t^{e-1}`` modulo the smallest monic
+irreducible of degree e (t itself for GF(p)).  :class:`GF` is the one field
+type: it checks p and e, picks that modulus and builds its lookup tables.
+Orders are capped at ``MAX_FIELD_ORDER``, the one limit on fields and on the
+planes PG(2, q) built over them, so irreducibility is checked by exhaustive
+factor search.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import CapacityError, PreconditionError
 
@@ -42,36 +41,6 @@ def factor_prime_power(q: int):
     return (q, 1)
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """Description of GF(p^e), refused with ``PreconditionError`` unless e is
-    a positive exact int, p^e at most ``MAX_FIELD_ORDER`` (``CapacityError``),
-    p a prime, and ``modulus``, None iff e = 1, the ascending coefficient tuple
-    (constant term first) of a monic irreducible degree-e polynomial over GF(p).
-    """
-
-    p: int
-    e: int
-    modulus: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        p, e, modulus = self.p, self.e, self.modulus
-        _check_characteristic_and_degree(p, e)
-        if e == 1:
-            if modulus is not None:
-                raise PreconditionError("a prime field takes no modulus")
-        elif modulus is None or len(modulus) != e + 1:
-            raise PreconditionError("extension field needs a degree-e modulus")
-        elif modulus[-1] != 1:
-            raise PreconditionError("modulus must be monic")
-        elif not _is_irreducible(modulus, p):
-            raise PreconditionError("modulus is reducible")
-
-    @property
-    def order(self) -> int:
-        return self.p ** self.e
-
-
 def check_field_order(p: int, e: int = 1) -> None:
     """Refuse ints p > 1, e >= 1 with p^e over ``MAX_FIELD_ORDER``; 2^e passes
     the limit once e reaches its bit length, so no huge p^e is formed."""
@@ -80,31 +49,9 @@ def check_field_order(p: int, e: int = 1) -> None:
         raise CapacityError(f"field order {order} is over the limit {MAX_FIELD_ORDER}")
 
 
-def _check_characteristic_and_degree(p, e):
-    if type(e) is not int or e < 1:
-        raise PreconditionError(f"extension degree must be a positive int, got {e!r}")
-    if type(p) is int:  # first: trial division of a huge p would keep running
-        check_field_order(p, e)
-    if type(p) is not int or not is_prime(p):
-        raise PreconditionError(f"{p!r} is not prime")
-
-
-def field_make(p: int, e: int) -> FieldSpec:
-    """Build the canonical GF(p^e) description.
-
-    For e > 1 the modulus is the smallest monic irreducible of degree e,
-    ordering candidates by their packed integer value (i.e. comparing
-    coefficient vectors from the highest degree down).  A bad p or e is
-    refused by ``FieldSpec``'s rule before the search starts.
-    """
-    _check_characteristic_and_degree(p, e)
-    if e == 1:
-        return FieldSpec(p, 1)
-    for packed in range(p ** e):
-        coeffs = _unpack(packed, e, p) + (1,)
-        if _is_irreducible(coeffs, p):
-            return FieldSpec(p, e, coeffs)
-    raise RuntimeError(f"no irreducible polynomial of degree {e} over GF({p})")
+def field_make(p: int, e: int) -> GF:
+    """Build GF(p^e); see :class:`GF` for the checks and the modulus."""
+    return GF(p, e)
 
 
 def _unpack(value: int, length: int, p: int) -> tuple[int, ...]:
@@ -146,15 +93,31 @@ def _is_irreducible(coeffs, p) -> bool:
 
 
 class GF:
-    """Arithmetic in GF(p^e) by lookup in q x q addition and multiplication
-    tables, built once from the polynomial routines; GF(p) is the degree-1
-    case, reduced modulo t.
+    """GF(p^e), refused with ``PreconditionError`` unless e is a positive
+    exact int, p^e at most ``MAX_FIELD_ORDER`` (``CapacityError``) and p a
+    prime, checked in that order before p^e is formed.  ``modulus`` is None
+    for e = 1 (GF(p) is reduced modulo t) and otherwise the smallest monic
+    irreducible of degree e, as an ascending coefficient tuple (constant term
+    first), candidates ordered by their packed value, i.e. by coefficient
+    vectors compared from the highest degree down.  Every monic irreducible
+    gives the same field up to isomorphism.  Arithmetic is by lookup in
+    q x q addition and multiplication tables built once here.
     """
 
-    def __init__(self, spec: FieldSpec):
-        p, e, q = spec.p, spec.e, spec.order
-        modulus = spec.modulus or (0, 1)
-        self.spec, self.p, self.e, self.q = spec, p, e, q
+    def __init__(self, p: int, e: int):
+        if type(e) is not int or e < 1:
+            raise PreconditionError(f"extension degree must be a positive int, got {e!r}")
+        if type(p) is int:  # first: trial division of a huge p would keep running
+            check_field_order(p, e)
+        if type(p) is not int or not is_prime(p):
+            raise PreconditionError(f"{p!r} is not prime")
+        q = p ** e
+        self.p, self.e, self.q = p, e, q
+        self.modulus = None
+        if e > 1:
+            monic = (_unpack(x, e, p) + (1,) for x in range(q))
+            self.modulus = next(m for m in monic if _is_irreducible(m, p))
+        modulus = self.modulus or (0, 1)
         polys = [_unpack(x, e, p) for x in range(q)]
         self._add = [[_pack([(a + b) % p for a, b in zip(xs, ys)], p) for ys in polys]
                      for xs in polys]

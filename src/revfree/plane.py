@@ -7,7 +7,7 @@ lexicographic order, so (0,0,1) is point 0, (0,1,z) is point 1 + z and
 triple i = (a, b, c), the x with a*x0 + b*x1 + c*x2 = 0, so the incidence
 matrix comes out symmetric.  Solving for the last coordinate whose
 coefficient is nonzero lists them in ascending index order, without testing
-the other points.  ``FieldSpec`` caps the order at ``MAX_FIELD_ORDER``.
+the other points.  ``GF`` caps the order at ``MAX_FIELD_ORDER``.
 
 The six axioms checked by :func:`plane_verify`:
 
@@ -35,7 +35,7 @@ from itertools import chain
 
 from .bitmatrix import BinaryMatrix, pair_overlaps
 from .errors import PreconditionError, _read_document
-from .galois import GF, FieldSpec
+from .galois import GF
 
 
 @dataclass(frozen=True)
@@ -81,11 +81,10 @@ class PlaneReport:
         return all(c.ok for c in self.checks)
 
 
-def plane_build(spec: FieldSpec) -> ProjectivePlane:
-    """Construct PG(2, q) for q = p^e, from any ``FieldSpec``; the result
-    passes plane_verify."""
-    q = spec.order
-    field = GF(spec)
+def plane_build(field: GF) -> ProjectivePlane:
+    """Construct PG(2, q) over the field GF(q); the result passes
+    plane_verify."""
+    q = field.q
     points = [(0, 0, 1)]
     points += [(0, 1, z) for z in range(q)]
     points += [(1, y, z) for y in range(q) for z in range(q)]

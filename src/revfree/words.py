@@ -20,7 +20,7 @@ usual 1..n presentation at the boundary.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain
 
@@ -34,6 +34,12 @@ Word = tuple  # letters as a tuple of ints, 0-based
 # (8.0 M letters) peaks at 1003 MB, the n = 28 lift (2.75 M) at 338 MB
 # (2 shared vCPUs, Python 3.11), so the limit keeps a construction near 1 GB
 MAX_CODE_LETTERS = 8_000_000
+
+# word masks cost about 1.5 bytes of peak RSS per mask byte while they are
+# built: `shrink run` on the first 40000 / 60000 words of the n = 10^8 Fano
+# lift (200 / 450 MB of masks) peaks at 324 / 697 MB (2 shared vCPUs,
+# Python 3.11), so the limit keeps a run near 1 GB
+MAX_MASK_BYTES = 600_000_000
 
 
 def check_code_letters(words: int, k: int) -> None:
@@ -110,10 +116,17 @@ def _first_fault(words, n: int, k: int, repetition_free: bool, base: int) -> str
 def support_masks(words) -> list:
     """For each position i, a dict from each letter found at i to the mask
     of the indices of the words holding it there: O(M k) steps, and only
-    letters that occur take space."""
+    letters that occur take space, ceil(M/8) bytes each.  Masks totalling
+    over ``MAX_MASK_BYTES`` are refused with ``CapacityError`` before any
+    is built."""
     width = (len(words) + 7) >> 3
+    columns = list(zip(*words))
+    size = width * sum(len(set(column)) for column in columns)
+    if size > MAX_MASK_BYTES:
+        raise CapacityError(f"word masks of {len(words)} words take {size} bytes, "
+                            f"over the limit of {MAX_MASK_BYTES} bytes")
     support = []
-    for column in zip(*words):
+    for column in columns:
         bitmaps: dict = defaultdict(lambda: bytearray(width))
         for v, c in enumerate(column):
             bitmaps[c][v >> 3] |= 1 << (v & 7)
@@ -128,6 +141,8 @@ def reverse_partners(words):
     w_i at j, so the mask ORs ``support[i][w_j] & support[j][w_i]`` over
     i < j with w_i != w_j, taking j only from the positions where some word
     holds w_i: O(M k r) AND steps, r the most positions a letter occurs at.
+    A letter that occurs only where w itself holds it offers no j and is
+    skipped, so a word's own repeats cost nothing.
     """
     if len(words) < 2:  # a lone word has no partner, however long it is
         yield from [0] * len(words)
@@ -139,9 +154,13 @@ def reverse_partners(words):
             where.setdefault(c, []).append(j)
     for w in words:
         partners = 0
+        own = Counter(w) if len(set(w)) < len(w) else None
         for i, wi in enumerate(w):
             at_i = support[i]
-            for j in where[wi]:
+            js = where[wi]
+            if len(js) == (own[wi] if own else 1):
+                continue  # w holds w_i wherever it occurs: no j to pair with
+            for j in js:
                 if j > i and (wj := w[j]) != wi and wj in at_i:
                     partners |= at_i[wj] & support[j][wi]
         yield partners

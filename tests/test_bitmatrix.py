@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import random
+import time
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -127,6 +128,20 @@ def random_matrix(rng, rows, cols):
     return BinaryMatrix(rows, cols, [rng.getrandbits(cols) for _ in range(rows)])
 
 
+def transpose(m):
+    return BinaryMatrix(m.cols, m.rows, m.col_masks())
+
+
+def column_pair_s_count(matrix):
+    """Sum of C(r_ij, 2) over all column pairs, r_ij the rows covering both."""
+    cols = matrix.col_masks()
+    total = 0
+    for i, j in combinations(range(matrix.cols), 2):
+        r_ij = (cols[i] & cols[j]).bit_count()
+        total += r_ij * (r_ij - 1) // 2
+    return total
+
+
 class TestConstruction:
     def test_rejects_empty(self):
         with pytest.raises(PreconditionError):
@@ -185,7 +200,7 @@ class TestConstruction:
         rng = random.Random(8)
         for _ in range(20):
             m = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-            assert m.transpose().transpose() == m
+            assert transpose(transpose(m)) == m
 
     def test_json_round_trip_and_sorted_ones(self):
         m = BinaryMatrix(2, 3, [0b110, 0b001])
@@ -296,6 +311,24 @@ class TestCountS:
         m = BinaryMatrix(4, 5, [31] * 4)
         assert count_s(m).density_m == pytest.approx(20 / (5 * 2))
 
+    def test_both_orientations_match_column_pair_sum(self):
+        rng = random.Random(2)
+        for _ in range(200):
+            m = random_matrix(rng, rng.randint(1, 40), rng.randint(1, 40))
+            expected = column_pair_s_count(m)
+            assert count_s(m).exact_count == count_s(transpose(m)).exact_count == expected
+
+    def test_wide_matrix_pairs_its_rows(self):
+        # C(20000, 2) column pairs would take minutes; C(8, 2) row pairs do not
+        wide = BinaryMatrix(8, 20_000, [(1 << 20_000) - 1] * 8)
+        start = time.perf_counter()
+        report = count_s(wide)
+        assert time.perf_counter() - start < 1.0
+        assert report.exact_count == math.comb(8, 2) * math.comb(20_000, 2)
+        rng = random.Random(3)
+        sparse = random_matrix(rng, 8, 20_000)
+        assert count_s(sparse).exact_count == count_s(transpose(sparse)).exact_count
+
 
 class TestSLowerBound:
     def test_fano_point(self):
@@ -375,7 +408,7 @@ class TestPermanent:
         matrix, row_order, col_order = case
         value = permanent(matrix)
         assert value == ryser_permanent(matrix)
-        assert permanent(matrix.transpose()) == value
+        assert permanent(transpose(matrix)) == value
         assert permanent(permuted(matrix, row_order, col_order)) == value
 
     def test_rejects_non_square(self):

@@ -598,6 +598,18 @@ class TestHugeAlphabet:
             ("shrink", "run", "--threshold", "0"): (0, untouched),
         })
 
+    def test_word_masks_over_the_limit(self, capsys, tmp_path, fano24):
+        # the first 150000 lifted words hold 150000 letters at their last
+        # position: 2.8 GB of word masks, refused before any is built
+        path = tmp_path / "lift150k.json"
+        assert run_cli(capsys, "construct", "lift", "--in", fano24, "--n", "100000000",
+                       "--limit", "150000", "--out", str(path))[0] == 0
+        result, _ = run_capped_cli("shrink", "run", "--in", str(path))
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == ""
+        assert re.fullmatch(r"error: word masks of 150000 words take \d+ bytes, "
+                            r"over the limit of \d+ bytes\n", result.stderr)
+
     def test_two_reversed_words(self, two_words):
         def reversed_at_1_2(result):
             witness = json.loads(result.stdout)["witness"]

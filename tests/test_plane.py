@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from revfree import (
+    BinaryMatrix,
     CapacityError,
     PreconditionError,
     ProjectivePlane,
@@ -19,7 +20,6 @@ from revfree import (
     plane_verify,
 )
 from revfree import plane as plane_module
-from revfree.galois import GF
 from revfree.plane import AxiomCheck, PlaneReport
 
 ORDERS = [2, 3, 4, 5, 7, 8, 9]
@@ -30,11 +30,10 @@ def build_order(q):
     return plane_build(field_make(p, e))
 
 
-def dot_product_plane(spec):
+def dot_product_plane(field):
     """Reference construction: the normalized triples sorted, and line i the points
     whose dot product with triple i is 0, tested on all N^2 pairs."""
-    q = spec.order
-    field = GF(spec)
+    q = field.q
     add, mul = field.add, field.mul
     points = [(1, y, z) for y in range(q) for z in range(q)]
     points += [(0, 1, z) for z in range(q)] + [(0, 0, 1)]
@@ -52,8 +51,8 @@ BUILT_ORDERS = [q for q in range(2, 33) if factor_prime_power(q)]
 
 @pytest.mark.parametrize("q", BUILT_ORDERS)
 def test_build_matches_dot_product_reference(q):
-    spec = field_make(*factor_prime_power(q))
-    assert plane_build(spec) == dot_product_plane(spec)
+    field = field_make(*factor_prime_power(q))
+    assert plane_build(field) == dot_product_plane(field)
 
 
 @pytest.mark.parametrize("q", ORDERS)
@@ -104,7 +103,7 @@ def test_fano_incidence_weight(fano_incidence):
 def test_duality_transpose_verifies():
     plane = build_order(3)
     inc = incidence_matrix(plane)
-    tr = inc.transpose()
+    tr = BinaryMatrix(inc.cols, inc.rows, inc.col_masks())
     dual_lines = tuple(
         tuple(
             j for j in range(tr.cols) if tr.get(i, j)
@@ -186,7 +185,7 @@ def test_json_rejects_bool_order():
 
 
 def test_plane_order_guard():
-    # the plane's guard is its field's: no FieldSpec of order over 101 exists
+    # the plane's guard is its field's: no GF of order over 101 exists
     assert not hasattr(plane_module, "MAX_PLANE_ORDER")
     for p, e in ((103, 1), (11, 2), (1021, 1), (2, 7)):
         with pytest.raises(CapacityError, match="over the limit 101"):

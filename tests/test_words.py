@@ -1,5 +1,6 @@
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -7,8 +8,11 @@ from hypothesis import strategies as st
 
 from revfree import (
     BinaryMatrix,
+    CapacityError,
     Code,
     PreconditionError,
+    ShrinkState,
+    build_conflict_graph,
     code_from_json_dict,
     code_to_json_dict,
     find_reverse,
@@ -17,6 +21,7 @@ from revfree import (
     verify_full_of_flips,
     verify_reverse_free,
 )
+from revfree import words as words_module
 
 
 def make_code(n, k, words, repetition_free=True):
@@ -370,6 +375,32 @@ class TestVerifyReverseFree:
     def test_fano_code_reverse_free(self, fano_code24):
         assert verify_reverse_free(fano_code24, "pairwise") == (True, None)
         assert verify_reverse_free(fano_code24, "signature") == (True, None)
+
+    def test_own_repeats_cost_nothing(self):
+        # each letter occurs only where its own word holds it, so no position
+        # pair needs a test; trying all C(6000, 2) of them takes seconds
+        code = make_code(2, 6000, [(0,) * 6000, (1,) * 6000], repetition_free=False)
+        start = time.perf_counter()
+        assert verify_reverse_free(code, "pairwise") == (True, None)
+        assert time.perf_counter() - start < 0.5
+
+
+def test_mask_limit_guards_every_mask_reader(monkeypatch):
+    # five cyclic shifts: 5 positions x 5 letters, one byte of mask each
+    code = make_code(5, 5, [tuple((s + i) % 5 for i in range(5)) for s in range(5)])
+    monkeypatch.setattr(words_module, "MAX_MASK_BYTES", 24)
+    message = "word masks of 5 words take 25 bytes, over the limit of 24 bytes"
+    with pytest.raises(CapacityError, match=message):
+        verify_reverse_free(code, "pairwise")
+    with pytest.raises(CapacityError, match=message):
+        ShrinkState.from_code(code)
+    monkeypatch.setattr(words_module, "MAX_MASK_BYTES", 25)
+    assert verify_reverse_free(code, "pairwise") == (True, None)
+    assert ShrinkState.from_code(code).size == 5
+    # the 6 words of (n, k) = (3, 2) hold 2 x 3 one-byte masks
+    monkeypatch.setattr(words_module, "MAX_MASK_BYTES", 5)
+    with pytest.raises(CapacityError, match="word masks of 6 words take 6 bytes"):
+        build_conflict_graph(3, 2, True)
 
 
 class TestVerifyFullOfFlips:
