@@ -1,7 +1,7 @@
 """Static checks on the library source, read with ``ast``: every import is
-used, every top-level function and method has a reader in the package
-(public ones may instead be listed with a reason), and every module-level
-constant is read in the package."""
+used, every private top-level function has a caller in the package, every
+public function and method is read in the package unless it is listed with
+a reason, and every module-level constant is read in the package."""
 
 import ast
 from collections import Counter
