@@ -89,10 +89,13 @@ def _cmd_plane_verify(args) -> int:
 
 
 def _cmd_construct_plane_code(args) -> int:
+    if args.seed is not None and args.sample is None:
+        raise PreconditionError("--seed applies only with --sample")
     plane = _build_plane_for_order(args.q)
     matrix = incidence_matrix(plane)
     if args.sample is not None:
-        result = construct.sample_plane_permutations(matrix, args.sample, args.seed)
+        seed = 0 if args.seed is None else args.seed
+        result = construct.sample_plane_permutations(matrix, args.sample, seed)
         if not result.complete:
             sys.stderr.write(
                 f"warning: only {len(result.code)} of {args.sample} distinct "
@@ -233,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = cc.add_mutually_exclusive_group()
     group.add_argument("--limit", type=int, help="stop enumeration after this many")
     group.add_argument("--sample", type=int, help="sample this many random matchings")
-    cc.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
+    cc.add_argument("--seed", type=int, help="sampling seed, with --sample only (default 0)")
     cc.add_argument("--out", help="write code JSON here instead of stdout")
     cc.set_defaults(func=_cmd_construct_plane_code)
     cp = cons_sub.add_parser("pad", help="append a fixed tail up to alphabet n")

@@ -10,9 +10,13 @@ letter found there; ``reverse_partners``, the one reverse kernel, ANDs two
 such masks per position pair.  The exact conflict graph, the pairwise
 verifier on at most 2k words and the shrink state read these masks, which
 cost by the code's own letters, never by the alphabet size n.  On more
-words the pairwise verifier reads first occurrences per position pair; the
-signature verifier is the independent second route.  ``find_reverse``
-tests one word pair in O(k), as the full-of-flips verifier does.
+words the pairwise verifier reads first occurrences per position pair.  The
+signature verifier, the independent second route, reads only the position
+pairs whose columns share two distinct letters (a reverse at (i, j) puts an
+S on rows i, j of the overall matrix), found by one
+``bitmatrix.pair_overlaps`` sweep over the letters at two or more
+positions.  ``find_reverse`` tests one word pair in O(k), as the
+full-of-flips verifier does.
 
 Letters are 0-based internally (0..n-1) and 1-based in JSON, matching the
 usual 1..n presentation at the boundary.
@@ -24,7 +28,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain
 
-from .bitmatrix import BinaryMatrix
+from .bitmatrix import BinaryMatrix, pair_overlaps
 from .errors import CapacityError, PreconditionError, _read_document
 
 Word = tuple  # letters as a tuple of ints, 0-based
@@ -113,6 +117,12 @@ def _first_fault(words, n: int, k: int, repetition_free: bool, base: int) -> str
 # -- the reverse relation -----------------------------------------------------
 
 
+def _check_mask_bytes(size: int, masks: str) -> None:
+    if size > MAX_MASK_BYTES:
+        raise CapacityError(f"{masks} take {size} bytes, "
+                            f"over the limit of {MAX_MASK_BYTES} bytes")
+
+
 def support_masks(words) -> list:
     """For each position i, a dict from each letter found at i to the mask
     of the indices of the words holding it there: O(M k) steps, and only
@@ -122,9 +132,7 @@ def support_masks(words) -> list:
     width = (len(words) + 7) >> 3
     columns = list(zip(*words))
     size = width * sum(len(set(column)) for column in columns)
-    if size > MAX_MASK_BYTES:
-        raise CapacityError(f"word masks of {len(words)} words take {size} bytes, "
-                            f"over the limit of {MAX_MASK_BYTES} bytes")
+    _check_mask_bytes(size, f"word masks of {len(words)} words")
     support = []
     for column in columns:
         bitmaps: dict = defaultdict(lambda: bytearray(width))
@@ -200,14 +208,19 @@ def verify_reverse_free(code: Code, method: str = "pairwise"):
     first (a, b, i, j) over all reverses: on M <= 2k words it takes the
     first word with a later partner from ``reverse_partners`` (O(M k r)),
     on more, at each position pair, the first word of each letter pair's
-    two orientations (O(M k^2)).  ``"signature"`` hashes the words'
-    letter pairs at each position pair on its own, looks for a swapped
-    collision and, only where one exists, finds the first later word b in
-    an ordered pass (O(M k^2)); its witness has the smallest b, then the
-    smallest (i, j), then the smallest a.  Returns ``(True, None)`` or
-    ``(False, (a, b, i, j))`` with word indices a < b and positions i < j;
-    the two methods agree on the verdict but may report different
-    witnesses.
+    two orientations (O(M k^2)).  ``"signature"`` first finds, in one
+    sweep of the overall matrix on the D letters found at two or more
+    positions, the P position pairs whose columns share two distinct
+    letters, the only pairs that can hold a reverse; at each of them it
+    hashes the words' letter pairs, looks for a swapped collision and, only
+    where one exists, finds the first later word b in an ordered pass
+    (O(M k) plus the sweep's W AND steps of (k + D)-bit masks, W the
+    overall matrix's weight, plus O(M P), P <= k(k-1)/2; its k x D masks
+    over ``MAX_MASK_BYTES`` raise ``CapacityError``).  Its witness has the
+    smallest b, then the smallest (i, j), then the smallest a.  Returns
+    ``(True, None)`` or ``(False, (a, b, i, j))`` with word indices a < b
+    and positions i < j; the two methods agree on the verdict but may
+    report different witnesses.
     """
     if method == "pairwise":
         return _reverse_free_pairwise(code)
@@ -245,15 +258,49 @@ def _reverse_free_pairwise(code: Code):
     return best is None, best
 
 
+def _letter_sharing_pairs(columns):
+    """Yield ``(i, later)`` per position i, ``later`` the mask of the j > i
+    (bit j - i - 1) whose columns share two distinct letters with column i.
+
+    One ``pair_overlaps`` sweep over the code's overall matrix, kept to the
+    letters found at two or more positions, each under a dense rank, so the
+    masks cost by the code's own letters, never by n: k rows of D bits and D
+    duals of k bits, refused over ``MAX_MASK_BYTES`` before any is built.
+    """
+    letter_sets = [set(column) for column in columns]
+    counts = Counter(chain.from_iterable(letter_sets))
+    rank = {c: r for r, c in enumerate([c for c, m in counts.items() if m > 1])}
+    k, d = len(columns), len(rank)
+    _check_mask_bytes(k * ((d + 7) >> 3) + d * ((k + 7) >> 3),
+                      f"letter masks of {k} positions and {d} shared letters")
+    rows = []
+    duals = [0] * d
+    for i, letters in enumerate(letter_sets):
+        row = 0
+        for c in letters & rank.keys():
+            r = rank[c]
+            row |= 1 << r
+            duals[r] |= 1 << i
+        rows.append(row)
+    for i, _, twice in pair_overlaps(rows, duals):
+        yield i, twice >> (i + 1)
+
+
 def _reverse_free_signatures(code: Code):
     # Words a, b have a reverse at (i, j) exactly when their letter pairs
     # there are swapped copies of an off-diagonal pair, so each position pair
-    # is checked alone on its two columns; an ordered pass over the columns
-    # recovers the first later word b and its first earlier partner a.
+    # is checked alone on its two columns, and only where the columns share
+    # two distinct letters (an S on rows i, j of the overall matrix); an
+    # ordered pass over the columns recovers the first later word b and its
+    # first earlier partner a.
     columns = list(zip(*code.words))
     witnesses = []
-    for i, ci in enumerate(columns):
-        for j in range(i + 1, len(columns)):
+    for i, later in _letter_sharing_pairs(columns):
+        ci = columns[i]
+        while later:
+            low = later & -later
+            later ^= low
+            j = i + low.bit_length()
             cj = columns[j]
             if not any(x != y for x, y in set(zip(ci, cj)).intersection(zip(cj, ci))):
                 continue

@@ -164,6 +164,21 @@ class TestConstructCommands:
         assert out1 == out2
         assert len(json.loads(out1)["words"]) == 6
 
+    def test_plane_code_sample_defaults_to_seed_zero(self, capsys):
+        _, unseeded, _ = run_cli(capsys, "construct", "plane-code", "--q", "2", "--sample", "6")
+        _, seeded, _ = run_cli(
+            capsys, "construct", "plane-code", "--q", "2", "--sample", "6", "--seed", "0"
+        )
+        assert unseeded == seeded
+
+    @pytest.mark.parametrize("extra", [(), ("--limit", "5")], ids=["enumerate", "limit"])
+    def test_plane_code_refuses_seed_without_sample(self, capsys, extra):
+        code, out, err = run_cli(
+            capsys, "construct", "plane-code", "--q", "2", "--seed", "3", *extra
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --seed applies only with --sample\n"
+
     def test_plane_code_sample_over_the_side_limit(self, capsys, monkeypatch):
         monkeypatch.setattr(construct, "SAMPLE_MAX_SIDE", 6)
         code, out, err = run_cli(capsys, "construct", "plane-code", "--q", "2", "--sample", "1")

@@ -22,6 +22,7 @@ from revfree import (
     verify_reverse_free,
 )
 from revfree import words as words_module
+from test_properties import first_reverse_by_later_word
 
 
 def make_code(n, k, words, repetition_free=True):
@@ -385,6 +386,74 @@ class TestVerifyReverseFree:
         assert time.perf_counter() - start < 0.5
 
 
+def reference_signatures(code):
+    """The signature verifier that reads every one of the C(k, 2) position
+    pairs: at each, a swapped collision of the two columns' letter pairs,
+    then an ordered pass for the first later word and its first partner."""
+    columns = list(zip(*code.words))
+    witnesses = []
+    for i, ci in enumerate(columns):
+        for j in range(i + 1, len(columns)):
+            cj = columns[j]
+            if not any(x != y for x, y in set(zip(ci, cj)).intersection(zip(cj, ci))):
+                continue
+            first = {}
+            for b, (x, y) in enumerate(zip(ci, cj)):
+                if x != y:
+                    a = first.get((y, x))
+                    if a is not None:
+                        witnesses.append((b, i, j, a))
+                        break
+                    first.setdefault((x, y), b)
+    if not witnesses:
+        return True, None
+    b, i, j, a = min(witnesses)
+    return False, (a, b, i, j)
+
+
+@st.composite
+def sparse_codes(draw):
+    """Codes over up to 40 letters, most of them at one or two positions, so
+    that most position pairs share fewer than two letters; some words are an
+    earlier word with two positions swapped, so reverses still occur."""
+    repetition_free = draw(st.booleans())
+    n = draw(st.integers(2, 40))
+    k = draw(st.integers(1, min(n, 10) if repetition_free else 10))
+    pool = sorted(draw(st.sets(st.integers(0, n - 1), min_size=k if repetition_free else 1,
+                               max_size=n)))
+    if repetition_free:
+        word = st.permutations(pool).map(lambda p: tuple(p[:k]))
+    else:
+        word = st.tuples(*[st.sampled_from(pool)] * k)
+    words = draw(st.lists(word, max_size=12))
+    for _ in range(draw(st.integers(0, 3)) if words and k > 1 else 0):
+        w = list(draw(st.sampled_from(words)))
+        i, j = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+        w[i], w[j] = w[j], w[i]
+        words.insert(draw(st.integers(0, len(words))), tuple(w))
+    words = list(dict.fromkeys(words))
+    return Code(n=n, k=k, repetition_free=repetition_free, words=words)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_codes())
+def test_signature_reads_only_letter_sharing_pairs(code):
+    expected = first_reverse_by_later_word(code.words)
+    result = verify_reverse_free(code, "signature")
+    assert result == reference_signatures(code) == (expected is None, expected)
+
+
+@pytest.mark.parametrize("word", [tuple(range(4000)), (0, 1) * 2000],
+                         ids=["permutation", "alternating"])
+def test_signature_skips_position_pairs_without_two_shared_letters(word):
+    # a lone word puts one letter on each position, so no two columns share
+    # two letters; reading all C(4000, 2) position pairs takes seconds
+    code = make_code(4000, 4000, [word], repetition_free=False)
+    start = time.perf_counter()
+    assert verify_reverse_free(code, "signature") == (True, None)
+    assert time.perf_counter() - start < 0.5
+
+
 def test_mask_limit_guards_every_mask_reader(monkeypatch):
     # five cyclic shifts: 5 positions x 5 letters, one byte of mask each
     code = make_code(5, 5, [tuple((s + i) % 5 for i in range(5)) for s in range(5)])
@@ -397,6 +466,13 @@ def test_mask_limit_guards_every_mask_reader(monkeypatch):
     monkeypatch.setattr(words_module, "MAX_MASK_BYTES", 25)
     assert verify_reverse_free(code, "pairwise") == (True, None)
     assert ShrinkState.from_code(code).size == 5
+    # the signature sweep: 5 rows of 5 letter bits and 5 duals of 5 position bits
+    monkeypatch.setattr(words_module, "MAX_MASK_BYTES", 9)
+    with pytest.raises(CapacityError, match="letter masks of 5 positions and 5 shared "
+                                            "letters take 10 bytes, over the limit of 9"):
+        verify_reverse_free(code, "signature")
+    monkeypatch.setattr(words_module, "MAX_MASK_BYTES", 10)
+    assert verify_reverse_free(code, "signature") == (True, None)
     # the 6 words of (n, k) = (3, 2) hold 2 x 3 one-byte masks
     monkeypatch.setattr(words_module, "MAX_MASK_BYTES", 5)
     with pytest.raises(CapacityError, match="word masks of 6 words take 6 bytes"):
