@@ -39,9 +39,8 @@ class BinaryMatrix:
         row_bits = tuple(row_bits)
         if len(row_bits) != rows:
             raise PreconditionError(f"expected {rows} row masks, got {len(row_bits)}")
-        limit = 1 << cols
         for r, bits in enumerate(row_bits):
-            if type(bits) is not int or not 0 <= bits < limit:
+            if type(bits) is not int or bits < 0 or bits.bit_length() > cols:
                 raise PreconditionError(f"row {r} mask {bits!r} is not an int in [0, 2^{cols})")
         self.rows = rows
         self.cols = cols

@@ -78,6 +78,8 @@ def plane_permutation_code(matrix: BinaryMatrix, limit: int | None = None) -> Co
     Deterministic backtracking (rows ascending, candidate columns
     ascending), so a ``limit`` yields a reproducible prefix of the full
     enumeration, whose size equals the permanent.  Output is reverse-free.
+    A word that would take the code over ``MAX_CODE_LETTERS`` letters raises
+    ``CapacityError`` before it is listed.
     """
     _check_matching_host(matrix)
     if limit is not None:
@@ -101,6 +103,7 @@ def plane_permutation_code(matrix: BinaryMatrix, limit: int | None = None) -> Co
         cand[r] ^= low
         word[r] = low.bit_length() - 1
         if r == n - 1:
+            check_code_letters(len(words) + 1, n)
             words.append(tuple(word))
             if limit is not None and len(words) >= limit:
                 break

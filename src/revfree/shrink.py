@@ -4,12 +4,14 @@ State revolves around the code's overall matrix (the OR of its word
 matrices) and three derived quantities: its weight, its density
 ``weight / (n sqrt(k))``, and its emptiness (rows with at most one 1).
 
-The state holds, for each overall 1-entry (row, column), the bitmask of
-kept input words with that letter at that position.  The masks are built
-once, by ``words.support_masks``, for the letters that occur; a step ANDs
-them with the mask of the words it keeps, and the statistics follow from
-the restricted masks.  A ``Code`` of the kept words is built only when
-``state.code`` is read.
+The state is its entry masks: for each overall 1-entry (row, column), the
+bitmask of kept input words with that letter at that position.  The masks
+are built once, by ``words.support_masks``, for the letters that occur; a
+step ANDs them with the mask of the words it keeps, and the statistics
+follow from the restricted masks: the weight is the number of entries, the
+emptiness k minus the rows holding two or more.  So the state costs by the
+code's own letters, never by n or by the rows no word fills.  A ``Code`` of
+the kept words is built only when ``state.code`` is read.
 
 A 1-entry of the overall matrix is *light* when at most |U|/n words support
 it; an *avoided pair* is two 1-entries in distinct rows and distinct
@@ -43,9 +45,9 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import combinations
 
-from .bitmatrix import BinaryMatrix, count_s, pair_overlaps
+from .bitmatrix import BinaryMatrix, count_s
 from .errors import InvariantError, PreconditionError
-from .words import Code, support_masks, verify_reverse_free
+from .words import Code, _letter_sharing_pairs, support_masks, verify_reverse_free
 
 DEFAULT_DENSITY_THRESHOLD = 10.0
 
@@ -54,30 +56,24 @@ class ShrinkState:
     """The kept words of a reverse-free code, as bitmasks over its word
     indices, plus the overall-matrix statistics derived from them."""
 
-    __slots__ = ("overall", "weight", "density_m", "emptiness_z",
-                 "_source", "_keep", "_support", "_code")
+    __slots__ = ("weight", "density_m", "emptiness_z", "_source", "_keep", "_support")
 
-    def __init__(self, source: Code, keep: int, support: dict, code: Code | None = None):
+    def __init__(self, source: Code, keep: int, support: dict):
         """``support`` maps (row, column) to a mask over the word indices of
         ``source``; entries with an empty mask are dropped."""
         self._support = {entry: mask for entry, mask in support.items() if mask}
-        n, k = source.n, source.k
-        rows = [0] * k
-        for i, c in self._support:
-            rows[i] |= 1 << c
-        self.overall = BinaryMatrix(k, n, rows)
-        self.weight = self.overall.weight()
-        self.density_m = self.weight / (n * math.sqrt(k))
-        self.emptiness_z = sum(1 for r in range(k) if self.overall.row_weight(r) <= 1)
+        self.weight = len(self._support)
+        self.density_m = self.weight / (source.n * math.sqrt(source.k))
+        row_weights = Counter(i for i, _ in self._support).values()
+        self.emptiness_z = source.k - sum(1 for d in row_weights if d > 1)
         self._source = source
         self._keep = keep
-        self._code = code
 
     @classmethod
     def from_code(cls, code: Code) -> "ShrinkState":
         support = {(i, c): mask for i, masks in enumerate(support_masks(code.words))
                    for c, mask in masks.items()}
-        return cls(code, (1 << len(code.words)) - 1, support, code)
+        return cls(code, (1 << len(code.words)) - 1, support)
 
     def restrict(self, keep: int) -> "ShrinkState":
         """The state of the words whose index bit is set in ``keep``."""
@@ -86,12 +82,10 @@ class ShrinkState:
 
     @property
     def code(self) -> Code:
-        if self._code is None:
-            src = self._source
-            kept = format(self._keep, "b")[::-1]
-            words = tuple(w for w, bit in zip(src.words, kept) if bit == "1")
-            self._code = Code(src.n, src.k, src.repetition_free, words)
-        return self._code
+        src = self._source
+        kept = format(self._keep, "b")[::-1]
+        words = tuple(w for w, bit in zip(src.words, kept) if bit == "1")
+        return Code(src.n, src.k, src.repetition_free, words)
 
     @property
     def size(self) -> int:
@@ -105,7 +99,7 @@ def light_entries(state: ShrinkState):
     """Overall 1-entries supported by at most |U|/n words, sorted."""
     if not state.size:
         raise PreconditionError("light entries of an empty code are undefined")
-    n = state.overall.cols
+    n = state._source.n
     size = state.size
     return sorted(
         entry for entry, mask in state._support.items() if mask.bit_count() * n <= size
@@ -132,7 +126,7 @@ def _step(state: ShrinkState):
     step is taken on the smallest light entry whenever one exists; otherwise
     the heavy step is taken.  Every guarantee of the step taken is asserted.
     """
-    n = state.overall.cols
+    n, k = state._source.n, state._source.k
     lights = light_entries(state)
     if lights:
         entry = lights[0]
@@ -151,11 +145,10 @@ def _step(state: ShrinkState):
     if not pairs:
         # an S at rows i, j and columns a, b with neither (i,a)-(j,b) nor
         # (i,b)-(j,a) avoided would be a reverse between two kept words
-        duals: dict = {}  # of the occurring columns only, not a list of all n
+        row_letters: dict = {}
         for i, c in state._support:
-            duals[c] = duals.get(c, 0) | 1 << i
-        if any(twice >> (i + 1) for i, _, twice in
-               pair_overlaps(state.overall.row_masks(), duals)):
+            row_letters.setdefault(i, set()).add(c)
+        if any(later for _, later in _letter_sharing_pairs(row_letters.values())):
             raise InvariantError("no pair is avoided, yet the overall matrix holds an S")
         return None
     # a generator, not itertools.chain: the first Counter over a chain adds a
@@ -164,11 +157,14 @@ def _step(state: ShrinkState):
     best_count = max(counts.values())
     entry = min(e for e, cnt in counts.items() if cnt == best_count)
 
-    k = state.overall.rows
     m = state.density_m
     premise_ok = False
     if m >= 5.0:
-        s_exact = count_s(state.overall).exact_count
+        # the one n-wide matrix, built only here, where n <= weight / 5
+        rows = [0] * k
+        for i, c in state._support:
+            rows[i] |= 1 << c
+        s_exact = count_s(BinaryMatrix(k, n, rows)).exact_count
         if s_exact >= n * n * m ** 4 / 5.0:
             premise_ok = True
             required = 2.0 * n * m ** 3 / (5.0 * math.sqrt(k))
@@ -182,10 +178,10 @@ def _step(state: ShrinkState):
         e2 if e1 == entry else e1 for e1, e2 in pairs if entry in (e1, e2)
     ]
     new_state = state.restrict(state.support_mask(entry))
-    for r2, c2 in partners:
-        if new_state.overall.get(r2, c2):
-            raise InvariantError(f"avoided partner {(r2, c2)} survived the heavy step")
-    if new_state.overall.row_weight(entry[0]) != 1:
+    for partner in partners:
+        if partner in new_state._support:
+            raise InvariantError(f"avoided partner {partner} survived the heavy step")
+    if sum(1 for i, _ in new_state._support if i == entry[0]) != 1:
         raise InvariantError("heavy step left more than one 1 in the chosen row")
     if new_state.weight >= state.weight:
         raise InvariantError("heavy step failed to reduce the overall weight")

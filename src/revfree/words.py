@@ -15,8 +15,9 @@ signature verifier, the independent second route, reads only the position
 pairs whose columns share two distinct letters (a reverse at (i, j) puts an
 S on rows i, j of the overall matrix), found by one
 ``bitmatrix.pair_overlaps`` sweep over the letters at two or more
-positions.  ``find_reverse`` tests one word pair in O(k), as the
-full-of-flips verifier does.
+positions; the same sweep, on the rows of its entry masks, asserts that
+the shrink procedure ends on an S-free overall matrix.  ``find_reverse``
+tests one word pair in O(k), as the full-of-flips verifier does.
 
 Letters are 0-based internally (0..n-1) and 1-based in JSON, matching the
 usual 1..n presentation at the boundary.
@@ -48,7 +49,8 @@ MAX_MASK_BYTES = 600_000_000
 
 def check_code_letters(words: int, k: int) -> None:
     """Refuse a code of ``words`` words of length k holding more than
-    ``MAX_CODE_LETTERS`` letters; called before any word is built."""
+    ``MAX_CODE_LETTERS`` letters; called before any word over the limit is
+    built."""
     if words * k > MAX_CODE_LETTERS:
         raise CapacityError(
             f"code of {words} x {k} letters is over the limit of {MAX_CODE_LETTERS} letters"
@@ -258,19 +260,18 @@ def _reverse_free_pairwise(code: Code):
     return best is None, best
 
 
-def _letter_sharing_pairs(columns):
-    """Yield ``(i, later)`` per position i, ``later`` the mask of the j > i
-    (bit j - i - 1) whose columns share two distinct letters with column i.
+def _letter_sharing_pairs(letter_sets):
+    """Yield ``(i, later)`` per letter set i, ``later`` the mask of the j > i
+    (bit j - i - 1) whose letter sets share two distinct letters with set i.
 
-    One ``pair_overlaps`` sweep over the code's overall matrix, kept to the
-    letters found at two or more positions, each under a dense rank, so the
-    masks cost by the code's own letters, never by n: k rows of D bits and D
-    duals of k bits, refused over ``MAX_MASK_BYTES`` before any is built.
+    One ``pair_overlaps`` sweep over the overall matrix with these rows, kept
+    to the letters found in two or more of them, each under a dense rank, so
+    the masks cost by the code's own letters, never by n: k rows of D bits
+    and D duals of k bits, refused over ``MAX_MASK_BYTES`` before any is built.
     """
-    letter_sets = [set(column) for column in columns]
     counts = Counter(chain.from_iterable(letter_sets))
     rank = {c: r for r, c in enumerate([c for c, m in counts.items() if m > 1])}
-    k, d = len(columns), len(rank)
+    k, d = len(letter_sets), len(rank)
     _check_mask_bytes(k * ((d + 7) >> 3) + d * ((k + 7) >> 3),
                       f"letter masks of {k} positions and {d} shared letters")
     rows = []
@@ -295,7 +296,7 @@ def _reverse_free_signatures(code: Code):
     # first earlier partner a.
     columns = list(zip(*code.words))
     witnesses = []
-    for i, later in _letter_sharing_pairs(columns):
+    for i, later in _letter_sharing_pairs([set(column) for column in columns]):
         ci = columns[i]
         while later:
             low = later & -later

@@ -343,6 +343,19 @@ class TestMatrixCommands:
         assert code == 2
         assert "square" in err
 
+    @pytest.mark.parametrize("command, exit_code", [("count-s", 0), ("permanent", 2)])
+    def test_huge_column_count(self, tmp_path, command, exit_code):
+        # the row masks are checked by bit length, never against 2^cols
+        path = tmp_path / "wide.json"
+        write_json(path, {"rows": 1, "cols": 10**12, "ones": [[1, 1]]})
+        result, _ = run_capped_cli("matrix", command, "--in", str(path))
+        assert result.returncode == exit_code, result.stderr
+        if exit_code:
+            assert result.stderr == ("error: permanent requires a square matrix, "
+                                     "got 1x1000000000000\n")
+        else:
+            assert json.loads(result.stdout)["exact_count"] == 0
+
 
 class TestExactCommand:
     def test_f33(self, capsys):
@@ -549,6 +562,15 @@ class TestLettersGuard:
         assert huge_doc["words"] == small_doc["words"]
         assert len(huge_doc["words"]) == 5
 
+    def test_enumeration_refused_at_the_word_over_the_limit(self, capsys, monkeypatch):
+        # the 24 Fano matchings hold 168 letters; 14 words of 7 fit under 100
+        _, fitting, _ = run_cli(capsys, "construct", "plane-code", "--q", "2", "--limit", "14")
+        monkeypatch.setattr(revfree.words, "MAX_CODE_LETTERS", 100)
+        assert run_cli(capsys, "construct", "plane-code", "--q", "2", "--limit", "14") == (
+            0, fitting, "")
+        assert run_cli(capsys, "construct", "plane-code", "--q", "2") == (
+            2, "", "error: code of 15 x 7 letters is over the limit of 100 letters\n")
+
     @pytest.mark.parametrize(
         "argv, letters",
         [
@@ -624,6 +646,16 @@ class TestHugeAlphabet:
         assert result.stdout == ""
         assert re.fullmatch(r"error: word masks of 150000 words take \d+ bytes, "
                             r"over the limit of \d+ bytes\n", result.stderr)
+
+    def test_empty_code_of_a_huge_length(self, tmp_path):
+        path = tmp_path / "empty.json"
+        write_code(path, 1, 100_000_000, [], repetition_free=False)
+
+        def untouched(result):
+            doc = json.loads(result.stdout)
+            assert (doc["final_size"], doc["steps"]) == (0, [])
+
+        self.run_all(str(path), {("shrink", "run"): (0, untouched)})
 
     def test_two_reversed_words(self, two_words):
         def reversed_at_1_2(result):

@@ -1,7 +1,9 @@
 """Property tests: the reverse-partner kernel against the definition, verifier
-agreement, the word/matrix bijection, S_n x S_k invariance, and the
-incremental shrink state against a full rebuild."""
+agreement, the word/matrix bijection, invariance under injective letter maps
+and S_k, the incremental shrink state against a full rebuild, and the
+shrink trace under increasing letter maps."""
 
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -128,10 +130,13 @@ def test_word_matrix_round_trip(n, data):
 @PROPERTY_SETTINGS
 @given(word_lists(min_size=0, max_size=10), st.data())
 def test_reverse_relation_is_invariant_under_relabelling(spec, data):
-    """Relabelling letters (S_n) and applying one position permutation to
-    every word (S_k) changes no reverse relation and no verdict."""
+    """Relabelling letters injectively, into an alphabet of up to 10^9
+    letters, and applying one position permutation to every word (S_k)
+    changes no reverse relation and no verdict."""
     n, k, repetition_free, words = spec
-    letters = data.draw(st.permutations(range(n)))
+    big_n = data.draw(st.integers(n, 10**9))
+    letters = data.draw(st.lists(st.integers(0, big_n - 1), min_size=n, max_size=n,
+                                 unique=True))
     positions = data.draw(st.permutations(range(k)))
     relabelled = [tuple(letters[w[p]] for p in positions) for w in words]
     for w, x in combinations(range(len(words)), 2):
@@ -139,7 +144,7 @@ def test_reverse_relation_is_invariant_under_relabelling(spec, data):
             find_reverse(relabelled[w], relabelled[x]) is None
         )
     before = Code(n=n, k=k, repetition_free=repetition_free, words=tuple(words))
-    after = Code(n=n, k=k, repetition_free=repetition_free, words=tuple(relabelled))
+    after = Code(n=big_n, k=k, repetition_free=repetition_free, words=tuple(relabelled))
     for method in ("pairwise", "signature"):
         verdict = verify_reverse_free(before, method)[0]
         assert verify_reverse_free(after, method)[0] == verdict
@@ -251,7 +256,13 @@ def compress(mask, keep):
 def assert_matches_rebuild(state):
     rebuilt = ShrinkState.from_code(state.code)
     assert rebuilt.size == state.size == len(state.code.words)
-    assert rebuilt.overall == state.overall
+    if state.size:
+        # the entries are the overall matrix's 1s, and the statistics its own
+        overall = overall_matrix(state.code)
+        assert set(state._support) == set(overall.ones())
+        assert state.weight == overall.weight()
+        assert state.emptiness_z == sum(
+            1 for r in range(overall.rows) if overall.row_weight(r) <= 1)
     assert rebuilt.weight == state.weight
     assert rebuilt.density_m == state.density_m
     assert rebuilt.emptiness_z == state.emptiness_z
@@ -271,7 +282,7 @@ def shrink_states(code):
             break
         new_state, kind, (row, _), *_ = step
         if kind == "heavy":
-            assert state.overall.row_weight(row) >= 2
+            assert [i for i, _ in state._support].count(row) >= 2
             assert new_state.emptiness_z > state.emptiness_z
         state = new_state
         states.append(state)
@@ -289,14 +300,36 @@ def test_restrict_matches_rebuild_on_lifted_fano(lifted_fano_code):
         assert_matches_rebuild(state)
 
 
+def reverse_free_subset(words):
+    """The words, each kept when it has no reverse with a kept earlier one."""
+    kept = []
+    for w in words:
+        if all(naive_reverse(w, x) is None for x in kept):
+            kept.append(w)
+    return tuple(kept)
+
+
 @PROPERTY_SETTINGS
 @given(word_lists(min_size=1, max_size=12))
 def test_restrict_matches_rebuild_on_random_codes(spec):
     n, k, repetition_free, words = spec
-    code_words = []
-    for w in words:
-        if all(naive_reverse(w, x) is None for x in code_words):
-            code_words.append(w)
-    code = Code(n=n, k=k, repetition_free=repetition_free, words=tuple(code_words))
+    code = Code(n=n, k=k, repetition_free=repetition_free, words=reverse_free_subset(words))
     for state in shrink_states(code):
         assert_matches_rebuild(state)
+
+
+@PROPERTY_SETTINGS
+@given(word_lists(min_size=1, max_size=12), st.data())
+def test_shrink_trace_is_invariant_under_increasing_relabelling(spec, data):
+    """A strictly increasing letter map keeps the order of the entries, so
+    at one alphabet size the shrink trace is the same, each entry mapped."""
+    n, k, repetition_free, words = spec
+    big_n = 10**9
+    letters = sorted(data.draw(st.lists(st.integers(0, big_n - 1), min_size=n, max_size=n,
+                                        unique=True)))
+    code_words = reverse_free_subset(words)
+    mapped_words = tuple(tuple(letters[c] for c in w) for w in code_words)
+    trace = run_shrink(Code(big_n, k, repetition_free, code_words), density_threshold=0.0)
+    mapped = run_shrink(Code(big_n, k, repetition_free, mapped_words), density_threshold=0.0)
+    steps = tuple(replace(s, entry=(s.entry[0], letters[s.entry[1]])) for s in trace.steps)
+    assert mapped == replace(trace, steps=steps)

@@ -47,7 +47,7 @@ class TestShrinkState:
         assert state.weight == 4
         assert state.density_m == pytest.approx(4 / (3 * math.sqrt(2)))
         assert state.emptiness_z == 0
-        assert state.overall == overall_matrix(state.code)
+        assert set(state._support) == set(overall_matrix(state.code).ones())
 
     def test_support_counts(self):
         state = ShrinkState.from_code(make_code(3, 2, THREE_WORD_CODE))
@@ -116,7 +116,8 @@ class TestAvoidedPairs:
                 continue
             state = ShrinkState.from_code(code)
             avoided = set(avoided_pairs(state))
-            overall = state.overall
+            overall = overall_matrix(state.code)
+            assert set(state._support) == set(overall.ones())
             for r1 in range(k):
                 for r2 in range(r1 + 1, k):
                     common = overall.row_mask(r1) & overall.row_mask(r2)
@@ -181,14 +182,35 @@ class TestHeavyStep:
         assert not premise_ok
         assert after.code.words == ((1, 2),)
         assert after.weight == 2
-        assert after.overall.get(1, 0) == 0  # the avoided partner vanished
-        assert after.overall.row_weight(0) == 1
+        assert set(after._support) == set(overall_matrix(after.code).ones())
+        assert (1, 0) not in after._support  # the avoided partner vanished
+        assert [i for i, _ in after._support].count(0) == 1
 
     def test_requires_avoided_pair(self):
         # no entry is light and no pair is avoided: no step applies
         state = ShrinkState.from_code(make_code(3, 2, [(0, 1), (0, 2)]))
         assert light_entries(state) == [] and avoided_pairs(state) == []
         assert _step(state) is None
+
+    def test_asserts_the_avoided_partners_vanish(self, monkeypatch):
+        state, kind, _, _, _ = _step(ShrinkState.from_code(make_code(3, 2, MATCHING_CODE)))
+        assert kind == "light"
+        restrict = ShrinkState.restrict
+        monkeypatch.setattr(ShrinkState, "restrict", lambda self, keep: restrict(self, -1))
+        with pytest.raises(InvariantError, match=r"avoided partner \(1, 0\) survived"):
+            _step(state)
+
+    def test_load_guarantee_is_asserted_when_its_premises_hold(self):
+        # the constant words 0^100 and 1^100 over n = 4: each entry has one of
+        # 2 words, above 2/4, so none is light; the density is 200 / (4 * 10)
+        # = 5 and the S count C(100, 2) = 4950 reaches n^2 m^4 / 5 = 2000,
+        # so the load bound 2 n m^3 / (5 sqrt(k)) = 20 applies; every entry
+        # lies in 99 avoided pairs and the smallest, (0, 0), is chosen
+        code = make_code(4, 100, [(0,) * 100, (1,) * 100], repetition_free=False)
+        after, kind, entry, premise_ok, avoided_count = _step(ShrinkState.from_code(code))
+        assert (kind, entry, premise_ok, avoided_count) == ("heavy", (0, 0), True, 99)
+        assert after.code.words == ((0,) * 100,)
+        assert after.emptiness_z == 100
 
     def test_asserts_it_keeps_a_1_over_n_share(self, monkeypatch, lifted_fano_code):
         # no entry of the lift is light, so the step is heavy; a restriction
