@@ -6,11 +6,14 @@ adjacency mask is its ``words.reverse_partners`` mask.  A maximum
 reverse-free code is then a maximum independent set and a maximum
 full-of-flips code a maximum clique.  Both are solved by one clique kernel
 (independent set goes through the complement) with greedy-coloring bounds,
-plus a brute-force subset oracle for cross-validation on tiny instances.
+run twice: once per symmetry orbit for the clique number omega, then over
+the whole graph, stopped at its first omega-clique.  A brute-force subset
+oracle cross-validates tiny instances.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import permutations, product
 from operator import itemgetter
@@ -72,7 +75,8 @@ def build_conflict_graph(n: int, k: int, repetition_free: bool) -> ConflictGraph
 # -- clique kernel -------------------------------------------------------------
 
 
-def max_clique_vertices(adj, nv: int):
+def max_clique_vertices(adj, nv: int, within: int | None = None, beat: int = 0,
+                        stop: int | None = None):
     """Maximum clique of a bitset-adjacency graph, as ascending vertex list.
 
     ``adj[v]`` is the mask of v's neighbours among vertices 0..nv-1.
@@ -81,10 +85,20 @@ def max_clique_vertices(adj, nv: int):
     the returned witness, is deterministic.  As in Tomita and Seki's MCQ, a
     frame lists only the colour classes above kmin = |best| - |stack|, and a
     child whose candidates cannot outgrow the best clique is never opened.
+
+    ``within`` keeps the search to the vertices of that mask (all of them by
+    default), ranked by their degree inside it.  Only a clique of more than
+    ``beat`` vertices counts, so ``[]`` means none exists.  The search
+    replaces its best only on a strictly larger clique, so stopping at the
+    first clique of ``stop`` vertices, the clique number, returns the clique
+    the full search would.
     """
-    if nv == 0:
+    if within is None:
+        within = (1 << nv) - 1
+    if within.bit_count() <= beat:
         return []
-    order = sorted(range(nv), key=lambda v: (-adj[v].bit_count(), v))
+    order = sorted((v for v in range(nv) if within >> v & 1),
+                   key=lambda v: (-(adj[v] & within).bit_count(), v))
     # relabel all masks at once: bit i of radj[r] is bit order[i] of
     # adj[order[r]], permuted as characters of the binary string
     pick = itemgetter(*[nv - 1 - v for v in reversed(order)])
@@ -111,15 +125,17 @@ def max_clique_vertices(adj, nv: int):
         return verts, bounds
 
     # frames[d] is [cand, verts, bounds] at depth d, whose colour classes are
-    # popped from the end; stack[d] is the vertex that opened frame d + 1
+    # popped from the end; stack[d] is the vertex that opened frame d + 1;
+    # size is |best|, or beat before any clique counts
     best: list[int] = []
+    size = beat
     stack: list[int] = []
-    cand = (1 << nv) - 1
-    frames = [[cand, *color_sort(cand, 0)]]
+    cand = (1 << len(order)) - 1
+    frames = [[cand, *color_sort(cand, size)]]
     while frames:
         frame = frames[-1]
         cand, verts, bounds = frame
-        if not verts or len(stack) + bounds[-1] <= len(best):
+        if not verts or len(stack) + bounds[-1] <= size:
             frames.pop()
             if stack:
                 stack.pop()
@@ -128,23 +144,59 @@ def max_clique_vertices(adj, nv: int):
         bounds.pop()
         frame[0] = cand & ~(1 << v)
         sub = cand & radj[v]
-        # a child frame of at most len(best) - len(stack) - 1 vertices
-        # could only list nothing
-        if len(stack) + sub.bit_count() >= len(best):
+        # a child frame of at most size - len(stack) - 1 vertices could
+        # only list nothing
+        if len(stack) + sub.bit_count() >= size:
             if sub:
                 stack.append(v)
-                frames.append([sub, *color_sort(sub, len(best) - len(stack))])
+                frames.append([sub, *color_sort(sub, size - len(stack))])
             else:
                 best = stack + [v]
+                size = len(best)
+                if size == stop:
+                    break
     return sorted(order[i] for i in best)
 
 
-def _witness_code(graph: ConflictGraph, vertices) -> Code:
-    return Code(
+def _clique_number(adj, words) -> int:
+    """The clique number of a conflict graph, or of its complement, on
+    ``words``, searched once per symmetry orbit.
+
+    Relabelling letters and permuting positions keeps the reverse relation,
+    so it acts on both graphs as automorphisms, whose orbits on words are
+    the classes of equal letter-multiplicity type.  Take the orbits in
+    order of decreasing size, r_i the first word of orbit i.  If orbit i is
+    the first that a maximum clique meets, an automorphism moving its vertex
+    there onto r_i keeps every orbit, so it gives a maximum clique through
+    r_i that misses the earlier orbits.  So omega = max_i (1 + omega(N(r_i)
+    minus the earlier orbits)), and each sub-search need only beat the best
+    so far.
+    """
+    orbits: dict = defaultdict(int)
+    for v, w in enumerate(words):
+        orbits[tuple(sorted(Counter(w).values()))] |= 1 << v
+    omega = 0
+    taken = 0
+    # any order is exact; largest first leaves the later sub-searches small
+    for orbit in sorted(orbits.values(), key=int.bit_count, reverse=True):
+        r = (orbit & -orbit).bit_length() - 1
+        rest = max_clique_vertices(adj, len(words), within=adj[r] & ~taken,
+                                   beat=max(omega - 1, 0))
+        omega = max(omega, 1 + len(rest))
+        taken |= orbit
+    return omega
+
+
+def _optimum(graph: ConflictGraph, adj):
+    """Size and witness code of a maximum clique of ``adj`` on the graph's
+    words: omega from the orbit searches, then the full search stopped at
+    its first omega-clique, the witness the full search returns."""
+    chosen = max_clique_vertices(adj, len(graph.words), stop=_clique_number(adj, graph.words))
+    return len(chosen), Code(
         n=graph.n,
         k=graph.k,
         repetition_free=graph.repetition_free,
-        words=tuple(graph.words[v] for v in sorted(vertices)),
+        words=tuple(graph.words[v] for v in chosen),
     )
 
 
@@ -157,16 +209,13 @@ def max_reverse_free(n: int, k: int, repetition_free: bool):
     graph = build_conflict_graph(n, k, repetition_free)
     nv = len(graph.words)
     full = (1 << nv) - 1
-    comp = [full & ~graph.adj[v] & ~(1 << v) for v in range(nv)]
-    chosen = max_clique_vertices(comp, nv)
-    return len(chosen), _witness_code(graph, chosen)
+    return _optimum(graph, [full & ~graph.adj[v] & ~(1 << v) for v in range(nv)])
 
 
 def max_full_of_flips(n: int, k: int, repetition_free: bool):
     """Exact maximum full-of-flips code size with a witness code."""
     graph = build_conflict_graph(n, k, repetition_free)
-    chosen = max_clique_vertices(graph.adj, len(graph.words))
-    return len(chosen), _witness_code(graph, chosen)
+    return _optimum(graph, graph.adj)
 
 
 # -- brute-force oracle ---------------------------------------------------------

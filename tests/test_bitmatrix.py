@@ -188,6 +188,16 @@ class TestConstruction:
                 make()
             assert str(info.value) == message
 
+    def test_row_limit_is_checked_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(bitmatrix, "MAX_MATRIX_ROWS", 3)
+        assert BinaryMatrix.from_ones(3, 2, [(3, 2)]) == BinaryMatrix(3, 2, [0, 0, 2])
+        doc = {"rows": 4, "cols": 2, "ones": [[1, 1]]}
+        for make in (lambda: BinaryMatrix.from_ones(4, 2, [(1, 1)]),
+                     lambda: BinaryMatrix.from_json_dict(doc)):
+            with pytest.raises(CapacityError) as info:
+                make()
+            assert str(info.value) == "matrix of 4 rows is over the limit of 3 rows"
+
     def test_weight_matches_storage(self):
         rng = random.Random(7)
         for _ in range(50):

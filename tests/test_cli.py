@@ -356,6 +356,18 @@ class TestMatrixCommands:
         else:
             assert json.loads(result.stdout)["exact_count"] == 0
 
+    @pytest.mark.parametrize("command", ["count-s", "permanent"])
+    def test_huge_row_count(self, tmp_path, command):
+        # refused before a row mask is allocated
+        path = tmp_path / "tall.json"
+        write_json(path, {"rows": 10**12, "cols": 1, "ones": [[1, 1]]})
+        result, elapsed = run_capped_cli("matrix", command, "--in", str(path))
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == ""
+        assert result.stderr == ("error: matrix of 1000000000000 rows is over the "
+                                 "limit of 8000000 rows\n")
+        assert elapsed < 2.0
+
 
 class TestExactCommand:
     def test_f33(self, capsys):
@@ -635,17 +647,29 @@ class TestHugeAlphabet:
             ("shrink", "run", "--threshold", "0"): (0, untouched),
         })
 
-    def test_word_masks_over_the_limit(self, capsys, tmp_path, fano24):
+    @pytest.fixture
+    def lift150k(self, capsys, tmp_path, fano24):
         # the first 150000 lifted words hold 150000 letters at their last
-        # position: 2.8 GB of word masks, refused before any is built
+        # position: 2.8 GB of word masks
         path = tmp_path / "lift150k.json"
         assert run_cli(capsys, "construct", "lift", "--in", fano24, "--n", "100000000",
                        "--limit", "150000", "--out", str(path))[0] == 0
-        result, _ = run_capped_cli("shrink", "run", "--in", str(path))
+        return str(path)
+
+    def test_word_masks_over_the_limit(self, lift150k):
+        # refused before any mask is built
+        result, _ = run_capped_cli("shrink", "run", "--in", lift150k)
         assert result.returncode == 2, result.stderr
         assert result.stdout == ""
         assert re.fullmatch(r"error: word masks of 150000 words take \d+ bytes, "
                             r"over the limit of \d+ bytes\n", result.stderr)
+
+    def test_full_of_flips_past_the_mask_limit(self, lift150k):
+        # the pair loop builds no word masks and stops at the first pair
+        result, elapsed = run_capped_cli("verify", "full-of-flips", "--in", lift150k)
+        assert result.returncode == 1, result.stderr
+        assert json.loads(result.stdout)["witness"]["word_indices"] == [0, 1]
+        assert elapsed < 5.0
 
     def test_empty_code_of_a_huge_length(self, tmp_path):
         path = tmp_path / "empty.json"

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from functools import cache
 from itertools import permutations, product
 
 import pytest
@@ -15,7 +16,12 @@ from revfree import (
     verify_full_of_flips,
     verify_reverse_free,
 )
-from revfree.exact import VERTEX_LIMIT, max_clique_vertices, word_universe_size
+from revfree.exact import (
+    VERTEX_LIMIT,
+    _clique_number,
+    max_clique_vertices,
+    word_universe_size,
+)
 from test_properties import reverses_after
 
 # the exact_optima benchmark shapes: (n, k, repetition_free, searched as the
@@ -132,6 +138,46 @@ def complement(adj, nv):
     return [full & ~adj[v] & ~(1 << v) for v in range(nv)]
 
 
+def random_graphs():
+    """300 seeded random graphs of 0..60 vertices and mixed densities."""
+    rng = random.Random(13)
+    for _ in range(300):
+        nv = rng.randint(0, 60)
+        density = rng.choice((0.1, 0.3, 0.5, 0.7, 0.9))
+        adj = [0] * nv
+        for u in range(nv):
+            for v in range(u + 1, nv):
+                if rng.random() < density:
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+        yield adj, nv
+
+
+@cache
+def optimum(solve, n, k, repetition_free):
+    """``solve(n, k, repetition_free)``, computed once per test run."""
+    return solve(n, k, repetition_free)
+
+
+def assert_solved_as_the_reference(graph, adj, searched_as_complement, expected):
+    """The mode's solver returns the reference's clique ``expected`` of
+    ``adj`` as its witness, and the orbit searches find its size."""
+    solve = max_reverse_free if searched_as_complement else max_full_of_flips
+    size, witness = optimum(solve, graph.n, graph.k, graph.repetition_free)
+    assert witness.words == tuple(graph.words[v] for v in expected)
+    assert size == len(expected) == _clique_number(adj, graph.words)
+
+
+# the reference's witness for F(6,3); its unstopped search of the 120
+# vertices takes about 100 s, so the witness is pinned here
+F63_REFERENCE_WITNESS = [
+    (0, 1, 3), (0, 2, 1), (0, 3, 2), (0, 4, 1), (0, 4, 2), (0, 4, 3), (1, 3, 2),
+    (2, 1, 3), (3, 2, 1), (4, 1, 0), (4, 1, 3), (4, 1, 5), (4, 2, 0), (4, 2, 1),
+    (4, 2, 5), (4, 3, 0), (4, 3, 2), (4, 3, 5), (5, 1, 0), (5, 1, 3), (5, 2, 0),
+    (5, 2, 1), (5, 3, 0), (5, 3, 2), (5, 4, 0), (5, 4, 1), (5, 4, 2), (5, 4, 3),
+]
+
+
 class TestConflictGraph:
     def test_s3_structure(self):
         graph = build_conflict_graph(3, 3, True)
@@ -206,20 +252,38 @@ class TestMaxCliqueKernel:
         graph = build_conflict_graph(n, k, repetition_free)
         nv = len(graph.words)
         adj = complement(graph.adj, nv) if searched_as_complement else list(graph.adj)
-        assert max_clique_vertices(adj, nv) == reference_max_clique(adj, nv)
+        expected = reference_max_clique(adj, nv)
+        assert max_clique_vertices(adj, nv) == expected
+        assert_solved_as_the_reference(graph, adj, searched_as_complement, expected)
 
     def test_random_witnesses_match_the_reference(self):
-        rng = random.Random(13)
-        for _ in range(300):
-            nv = rng.randint(0, 60)
-            density = rng.choice((0.1, 0.3, 0.5, 0.7, 0.9))
-            adj = [0] * nv
-            for u in range(nv):
-                for v in range(u + 1, nv):
-                    if rng.random() < density:
-                        adj[u] |= 1 << v
-                        adj[v] |= 1 << u
+        for adj, nv in random_graphs():
             assert max_clique_vertices(adj, nv) == reference_max_clique(adj, nv)
+
+    def test_stopping_at_the_clique_number_keeps_the_witness(self):
+        for adj, nv in random_graphs():
+            full = max_clique_vertices(adj, nv)
+            assert max_clique_vertices(adj, nv, stop=len(full)) == full
+
+    def test_a_bound_at_the_clique_number_finds_nothing(self):
+        for adj, nv in random_graphs():
+            omega = len(max_clique_vertices(adj, nv))
+            assert max_clique_vertices(adj, nv, beat=omega) == []
+            assert max_clique_vertices(adj, nv, beat=omega + 1) == []
+            if omega:
+                assert len(max_clique_vertices(adj, nv, beat=omega - 1)) == omega
+
+    def test_within_searches_the_induced_subgraph(self):
+        rng = random.Random(14)
+        for adj, nv in random_graphs():
+            within = rng.getrandbits(nv) if nv else 0
+            kept = [v for v in range(nv) if within >> v & 1]
+            induced = [sum(1 << i for i, u in enumerate(kept) if adj[v] >> u & 1)
+                       for v in kept]
+            clique = max_clique_vertices(adj, nv, within)
+            assert len(clique) == len(reference_max_clique(induced, len(kept)))
+            assert all(within >> v & 1 for v in clique)
+            assert all(adj[u] >> v & 1 for u in clique for v in clique if u != v)
 
     @pytest.mark.parametrize("nv", [0, 1, 2, 7, 40])
     def test_edgeless_and_complete_witnesses_match_the_reference(self, nv):
@@ -227,6 +291,29 @@ class TestMaxCliqueKernel:
         complete = complement(edgeless, nv)
         for adj in (edgeless, complete):
             assert max_clique_vertices(adj, nv) == reference_max_clique(adj, nv)
+
+
+class TestSolverWitnesses:
+    """omega from one search per symmetry orbit, then the full search
+    stopped at its first omega-clique: the unstopped reference's witness."""
+
+    @pytest.mark.parametrize("n, k, repetition_free",
+                             [case for case in small_instances(130) if case != (6, 3, True)])
+    def test_small_instances_match_the_reference(self, n, k, repetition_free):
+        graph = build_conflict_graph(n, k, repetition_free)
+        nv = len(graph.words)
+        for searched_as_complement in (True, False):
+            adj = complement(graph.adj, nv) if searched_as_complement else list(graph.adj)
+            assert_solved_as_the_reference(graph, adj, searched_as_complement,
+                                           reference_max_clique(adj, nv))
+
+    def test_f63_matches_the_pinned_reference(self):
+        graph = build_conflict_graph(6, 3, True)
+        nv = len(graph.words)
+        expected = sorted(graph.words.index(w) for w in F63_REFERENCE_WITNESS)
+        assert_solved_as_the_reference(graph, complement(graph.adj, nv), True, expected)
+        assert_solved_as_the_reference(graph, list(graph.adj), False,
+                                       reference_max_clique(list(graph.adj), nv))
 
 
 class TestMaxReverseFree:
@@ -304,13 +391,17 @@ class TestMaxFullOfFlips:
 
     def test_product_inequality(self):
         # the conflict graph is vertex-transitive, so alpha * omega <= |V|:
-        # F(n,k) * G(n,k) <= n!/(n-k)!, tight at n = k = 3
-        cases = [(n, k) for n in range(2, 6) for k in range(2, n + 1)] + [(6, 2), (7, 2)]
+        # F(n,k) * G(n,k) <= n!/(n-k)!, tight in all but four cases
+        cases = ([(n, k) for n in range(2, 6) for k in range(2, n + 1)]
+                 + [(6, 2), (6, 3), (7, 2)])
+        short = {}
         for n, k in cases:
-            f = max_reverse_free(n, k, True)[0]
-            g = max_full_of_flips(n, k, True)[0]
+            f = optimum(max_reverse_free, n, k, True)[0]
+            g = optimum(max_full_of_flips, n, k, True)[0]
             assert f * g <= math.perm(n, k), (n, k)
-        assert max_reverse_free(3, 3, True)[0] * max_full_of_flips(3, 3, True)[0] == 6
+            if f * g < math.perm(n, k):
+                short[n, k] = (f, g)
+        assert short == {(4, 4): (5, 4), (5, 4): (17, 4), (5, 5): (13, 8), (6, 3): (28, 4)}
 
 
 def test_clique_search_matches_networkx_above_the_oracle_limit():

@@ -1,8 +1,10 @@
 """Property tests: the reverse-partner kernel against the definition, verifier
 agreement, the word/matrix bijection, invariance under injective letter maps
-and S_k, the incremental shrink state against a full rebuild, and the
-shrink trace under increasing letter maps."""
+and S_k, S_n x S_k acting on the conflict graph as automorphisms, the
+incremental shrink state against a full rebuild, and the shrink trace under
+increasing letter maps."""
 
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations
 
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from revfree import (
     Code,
     ShrinkState,
+    build_conflict_graph,
     run_shrink,
     verify_full_of_flips,
     verify_reverse_free,
@@ -149,6 +152,34 @@ def test_reverse_relation_is_invariant_under_relabelling(spec, data):
         verdict = verify_reverse_free(before, method)[0]
         assert verify_reverse_free(after, method)[0] == verdict
     assert verify_full_of_flips(after)[0] == verify_full_of_flips(before)[0]
+
+
+@st.composite
+def universe_symmetries(draw):
+    """(n, k, repetition_free, sigma, pi): a word universe of at most 256
+    words, a letter permutation of [n] and a position permutation of [k]."""
+    repetition_free = draw(st.booleans())
+    n = draw(st.integers(1, 5 if repetition_free else 4))
+    k = draw(st.integers(1, n if repetition_free else 4))
+    return (n, k, repetition_free, draw(st.permutations(range(n))),
+            draw(st.permutations(range(k))))
+
+
+@PROPERTY_SETTINGS
+@given(universe_symmetries())
+def test_letter_and_position_permutations_are_graph_automorphisms(spec):
+    """v -> index(sigma o w_v o pi) maps the conflict graph onto itself and
+    keeps each letter-multiplicity type, the orbits the exact search takes
+    one representative of."""
+    n, k, repetition_free, sigma, pi = spec
+    graph = build_conflict_graph(n, k, repetition_free)
+    index = {w: v for v, w in enumerate(graph.words)}
+    image = [index[tuple(sigma[w[p]] for p in pi)] for w in graph.words]
+    assert sorted(image) == list(range(len(graph.words)))
+    for v, w in enumerate(graph.words):
+        moved = sum(1 << image[u] for u in range(len(graph.words)) if graph.adj[v] >> u & 1)
+        assert graph.adj[image[v]] == moved
+        assert sorted(Counter(graph.words[image[v]]).values()) == sorted(Counter(w).values())
 
 
 def pairwise_scan(code):
