@@ -30,6 +30,14 @@ PERMANENT_MAX_SIDE = 27
 MAX_MATRIX_ROWS = 8_000_000
 
 
+def set_bits(mask: int):
+    """Yield the indices of the set bits of a non-negative int, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class BinaryMatrix:
     """Immutable 0/1 matrix stored as one integer bitmask per row.
 
@@ -84,10 +92,8 @@ class BinaryMatrix:
         if self._col_bits is None:
             cols = [0] * self.cols
             for r, bits in enumerate(self._row_bits):
-                while bits:
-                    low = bits & -bits
-                    cols[low.bit_length() - 1] |= 1 << r
-                    bits ^= low
+                for c in set_bits(bits):
+                    cols[c] |= 1 << r
             self._col_bits = tuple(cols)
         return self._col_bits
 
@@ -99,13 +105,7 @@ class BinaryMatrix:
 
     def ones(self):
         """All 1-positions as 0-based (row, col) pairs in lexicographic order."""
-        out = []
-        for r, bits in enumerate(self._row_bits):
-            while bits:
-                low = bits & -bits
-                out.append((r, low.bit_length() - 1))
-                bits ^= low
-        return out
+        return [(r, c) for r, bits in enumerate(self._row_bits) for c in set_bits(bits)]
 
     # -- JSON --------------------------------------------------------------
 
@@ -173,10 +173,8 @@ def contains(haystack: BinaryMatrix, pattern: BinaryMatrix):
         lo = 0
         for need in pat_cols:
             mask = full >> lo << lo
-            while need:
-                low = need & -need
-                mask &= row_bits[rowsel[low.bit_length() - 1]]
-                need ^= low
+            for t in set_bits(need):
+                mask &= row_bits[rowsel[t]]
             if not mask:
                 break
             lo = (mask & -mask).bit_length()
@@ -189,6 +187,7 @@ def contains(haystack: BinaryMatrix, pattern: BinaryMatrix):
 def pair_overlaps(masks, duals):
     """Yield ``(i, once, twice)``, the masks of the j with masks[j] sharing >= 1
     and >= 2 bits with masks[i]; bit i of ``duals[x]`` is bit x of masks[i]."""
+    # walked inline: through set_bits, PG(2,101)'s P1/P2 sweeps ran 14-54% slower
     for i, mask in enumerate(masks):
         once = twice = 0
         while mask:
@@ -288,7 +287,7 @@ def permanent(matrix: BinaryMatrix) -> int:
     if n > PERMANENT_MAX_SIDE:
         raise CapacityError(f"side {n} exceeds permanent limit {PERMANENT_MAX_SIDE}")
     prod = math.prod
-    col_rows = [[r for r in range(n) if col >> r & 1] for col in matrix.col_masks()]
+    col_rows = [list(set_bits(col)) for col in matrix.col_masks()]
     rowsums = [bits.bit_count() for bits in matrix.row_masks()]
     step = [-2] * n  # change to column j's rows when d_j next flips
     total = prod(rowsums)

@@ -23,7 +23,7 @@ import random
 from dataclasses import asdict, astuple, dataclass, fields
 from itertools import chain, islice, product
 
-from .bitmatrix import BinaryMatrix, pair_overlaps
+from .bitmatrix import BinaryMatrix, pair_overlaps, set_bits
 from .errors import CapacityError, PreconditionError
 from .galois import factor_prime_power
 from .words import Code, check_code_letters
@@ -57,7 +57,7 @@ def _check_matching_host(matrix: BinaryMatrix):
     for i, _, twice in pair_overlaps(rows, cols):
         if above := twice >> (i + 1):
             j = i + (above & -above).bit_length()
-            witness = ((i, j), tuple(c for c, m in enumerate(cols) if m >> i & m >> j & 1)[:2])
+            witness = ((i, j), tuple(islice(set_bits(rows[i] & rows[j]), 2)))
             raise PreconditionError(
                 f"host matrix contains the S pattern at rows {witness[0]} "
                 f"cols {witness[1]}; matchings would not be reverse-free",
@@ -128,9 +128,9 @@ class SampleResult:
 
 
 ATTEMPT_BUDGET_FACTOR = 100
-# the largest plane side whose one-matching sample fits a 60 s budget: a
-# fresh `construct plane-code --sample 1` takes 48 s at q = 81, 57-60 s at
-# q = 83 (side 6973) and 97-99 s at q = 89 (2 shared vCPUs, Python 3.11)
+# the largest plane side whose one-matching sample fits a 60 s budget with
+# room to spare: a fresh `construct plane-code --sample 1` takes 27-34 s at
+# q = 83 (side 6973) and 49-55 s at q = 89 (2 shared vCPUs, Python 3.11)
 SAMPLE_MAX_SIDE = 6973
 
 
@@ -158,7 +158,7 @@ def sample_plane_permutations(
     _check_matching_host(matrix)
     _check_count("count", count)
     n = matrix.rows
-    row_cols = [[c for c in range(n) if mask >> c & 1] for mask in matrix.row_masks()]
+    row_cols = [list(set_bits(mask)) for mask in matrix.row_masks()]
     rng = random.Random(seed)
     found: dict = {}
     budget = ATTEMPT_BUDGET_FACTOR * count

