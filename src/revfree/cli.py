@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from itertools import chain
 
 from . import construct, exact, shrink
 from .bitmatrix import BinaryMatrix, count_s, permanent
@@ -35,13 +36,40 @@ from .words import (
 )
 
 
+def _dumps(value, depth: int = 0) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` at nesting ``depth``,
+    byte for byte, but each list of non-empty rows of exact ints (code words,
+    plane points and lines) is encoded compactly in C and re-indented, where
+    ``indent`` alone runs the pure-Python encoder.  Dicts with str keys and
+    lists are walked; anything else goes to ``json.dumps``, re-indented."""
+    outer = "\n" + "  " * depth
+    inner = outer + "  "
+    # an f-string copies a long body once, a chain of + once per operator
+    if type(value) is dict and value and all(type(key) is str for key in value):
+        items = ",".join(f"{inner}{json.dumps(key)}: {_dumps(value[key], depth + 1)}"
+                         for key in sorted(value))
+        return f"{{{items}{outer}}}"
+    if type(value) is list and value:
+        if (all(type(row) is list and row for row in value)
+                and set(map(type, chain.from_iterable(value))) == {int}):
+            # "[[1,2],[3]]": split the letters, then the rows, a level deeper
+            letter = inner + "  "
+            body = json.dumps(value, separators=(",", ":"))[2:-2]
+            body = body.replace(",", "," + letter).replace(
+                "]," + letter + "[", f"{inner}],{inner}[{letter}")
+            return f"[{inner}[{letter}{body}{inner}]{outer}]"
+        items = ",".join(inner + _dumps(item, depth + 1) for item in value)
+        return f"[{items}{outer}]"
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", outer)
+
+
 def _emit(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = _dumps(payload)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            print(text, file=handle)
     else:
-        sys.stdout.write(text)
+        print(text)
 
 
 def _load_json(path: str) -> dict:

@@ -35,10 +35,10 @@ from .errors import CapacityError, PreconditionError, _read_document
 
 Word = tuple  # letters as a tuple of ints, 0-based
 
-# a code costs about 125 bytes of peak RSS per letter while it is built and
+# a code costs about 60-76 bytes of peak RSS per letter while it is built and
 # written as JSON: `construct pad` of the 24 Fano matchings to n = 333333
-# (8.0 M letters) peaks at 1003 MB, the n = 28 lift (2.75 M) at 338 MB
-# (2 shared vCPUs, Python 3.11), so the limit keeps a construction near 1 GB
+# (8.0 M letters) peaks at 606 MB, the n = 28 lift (2.75 M) at 159 MB
+# (2 shared vCPUs, Python 3.11), so the limit keeps a construction under 1 GB
 MAX_CODE_LETTERS = 8_000_000
 
 # word masks cost about 1.5 bytes of peak RSS per mask byte while they are
@@ -297,21 +297,27 @@ def _reverse_free_signatures(code: Code):
     # is checked alone on its two columns, and only where the columns share
     # two distinct letters (an S on rows i, j of the overall matrix); an
     # ordered pass over the columns recovers the first later word b and its
-    # first earlier partner a.
-    columns = list(zip(*code.words))
+    # first earlier partner a.  Each distinct column is read once, at its
+    # first position: equal columns hold no reverse, and one that a column
+    # holds with another is found first at their first positions.
+    at: dict = {}
+    for i, column in enumerate(zip(*code.words)):
+        at.setdefault(column, i)
+    columns, positions = list(at), list(at.values())
     witnesses = []
     for i, later in _letter_sharing_pairs([set(column) for column in columns]):
         ci = columns[i]
         for j in set_bits(later << (i + 1)):
             cj = columns[j]
-            if not any(x != y for x, y in set(zip(ci, cj)).intersection(zip(cj, ci))):
+            seen = set(zip(ci, cj))
+            if not any(x != y and (y, x) in seen for x, y in seen):
                 continue
             first: dict = {}
             for b, (x, y) in enumerate(zip(ci, cj)):
                 if x != y:
                     a = first.get((y, x))
                     if a is not None:
-                        witnesses.append((b, i, j, a))
+                        witnesses.append((b, positions[i], positions[j], a))
                         break
                     first.setdefault((x, y), b)
     if not witnesses:

@@ -7,9 +7,11 @@ import time
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import revfree
-from revfree import construct
+from revfree import cli, construct
 from revfree.cli import main
 
 
@@ -746,3 +748,94 @@ def test_plane_code_deeper_than_default_recursion_limit(argv):
     doc = json.loads(result.stdout)
     assert len(doc["words"]) == 1
     assert sorted(doc["words"][0]) == list(range(1, doc["n"] + 1))
+
+
+# -- the emitter against its oracle -----------------------------------------------
+
+
+def oracle_text(payload):
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
+int_rows = st.lists(st.lists(st.integers(-(10**20), 10**20), max_size=4), max_size=4)
+odd_rows = st.lists(st.lists(st.integers() | st.booleans() | st.floats(), max_size=4),
+                    max_size=4)
+leaves = st.none() | st.booleans() | st.integers() | st.floats() | st.text() | int_rows \
+    | odd_rows
+payloads = st.recursive(
+    leaves,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4)
+    | st.dictionaries(st.integers(), children, max_size=3),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(payloads)
+def test_emitter_matches_json_dumps(payload):
+    assert cli._dumps(payload) == oracle_text(payload)
+
+
+def test_emitter_on_documents(fano_plane, fano_code24, lifted_fano_code):
+    empty = revfree.Code(n=3, k=2, repetition_free=True, words=())
+    k1 = revfree.Code(n=5, k=1, repetition_free=True, words=[(c,) for c in range(5)])
+    trace = revfree.run_shrink(lifted_fano_code, 0)
+    for payload in (revfree.code_to_json_dict(empty), revfree.code_to_json_dict(k1),
+                    revfree.code_to_json_dict(fano_code24), revfree.plane_to_json_dict(fano_plane),
+                    trace.to_json_dict(), {"outer": {"words": [[1, 2], [3, -4]], "rows": []}},
+                    {"rows": [[], [1, 2]], "flags": [[1, True]], "mixed": [[1], [2.5]]}):
+        assert cli._dumps(payload) == oracle_text(payload)
+
+
+@pytest.fixture(scope="module")
+def emit_inputs(tmp_path_factory, fano_code24, fano_incidence, fano_plane):
+    root = tmp_path_factory.mktemp("emit")
+    write_json(root / "fano24.json", revfree.code_to_json_dict(fano_code24))
+    write_json(root / "plane2.json", revfree.plane_to_json_dict(fano_plane))
+    write_json(root / "fano_matrix.json", fano_incidence.to_json_dict())
+    write_code(root / "swap.json", 3, 3, [[1, 2, 3], [2, 1, 3]])
+    return root
+
+
+# every call site of cli._emit, to --out where the command has it
+EMIT_SITES = {
+    "plane-build": ["plane", "build", "--q", "3", "--out", "{out}"],
+    "plane-verify": ["plane", "verify", "--in", "{plane2.json}"],
+    "plane-code": ["construct", "plane-code", "--q", "2", "--out", "{out}"],
+    "pad": ["construct", "pad", "--in", "{fano24.json}", "--n", "10", "--out", "{out}"],
+    "lift": ["construct", "lift", "--in", "{fano24.json}", "--n", "14", "--out", "{out}"],
+    "verify-reverse-free": ["verify", "reverse-free", "--in", "{fano24.json}"],
+    "verify-reverse-free-witness": ["verify", "reverse-free", "--in", "{swap.json}"],
+    "verify-full-of-flips": ["verify", "full-of-flips", "--in", "{fano24.json}"],
+    "count-s": ["matrix", "count-s", "--in", "{fano_matrix.json}"],
+    "permanent": ["matrix", "permanent", "--in", "{fano_matrix.json}"],
+    "exact": ["exact", "--n", "3", "--k", "3", "--mode", "F"],
+    "shrink": ["shrink", "run", "--in", "{fano24.json}", "--threshold", "0"],
+    "shrink-trace": ["shrink", "run", "--in", "{fano24.json}", "--threshold", "0",
+                     "--trace", "{out}"],
+    "bounds-table": ["bounds", "table", "--n", "14", "--k", "7", "--size", "3072",
+                     "--fkk", "24"],
+}
+
+
+@pytest.mark.parametrize("argv", EMIT_SITES.values(), ids=EMIT_SITES.keys())
+def test_every_emit_site_writes_the_oracle_bytes(capsys, monkeypatch, tmp_path, emit_inputs,
+                                                 argv):
+    emitted = []
+    emit = cli._emit
+
+    def recording_emit(payload, out):
+        emitted.append((payload, out))
+        emit(payload, out)
+
+    monkeypatch.setattr(cli, "_emit", recording_emit)
+    out_path = tmp_path / "out.json"
+    argv = [str(out_path) if a == "{out}" else str(emit_inputs / a[1:-1]) if a[0] == "{"
+            else a for a in argv]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code in (0, 1) and emitted
+    assert out == "".join(oracle_text(p) + "\n" for p, path in emitted if not path)
+    for payload, path in emitted:
+        if path:
+            assert out_path.read_text(encoding="utf-8") == oracle_text(payload) + "\n"

@@ -435,8 +435,18 @@ def sparse_codes(draw):
     return Code(n=n, k=k, repetition_free=repetition_free, words=words)
 
 
-@settings(max_examples=300, deadline=None)
-@given(sparse_codes())
+@st.composite
+def repeated_column_codes(draw):
+    """A code from ``sparse_codes`` laid out again with each position drawn
+    from its columns, so that equal columns recur, apart and in any order."""
+    code = draw(sparse_codes())
+    layout = draw(st.lists(st.integers(0, code.k - 1), min_size=1, max_size=12))
+    words = dict.fromkeys(tuple(w[i] for i in layout) for w in code.words)
+    return Code(n=code.n, k=len(layout), repetition_free=False, words=list(words))
+
+
+@settings(max_examples=400, deadline=None)
+@given(sparse_codes() | repeated_column_codes())
 def test_signature_reads_only_letter_sharing_pairs(code):
     expected = first_reverse_by_later_word(code.words)
     result = verify_reverse_free(code, "signature")
@@ -452,6 +462,22 @@ def test_signature_skips_position_pairs_without_two_shared_letters(word):
     start = time.perf_counter()
     assert verify_reverse_free(code, "signature") == (True, None)
     assert time.perf_counter() - start < 0.5
+
+
+def test_signature_reads_each_distinct_column_once(monkeypatch):
+    # every column of two constant words is (0, 1): one letter set, where
+    # reading all 2000 positions made C(2000, 2) set tests, seconds of work
+    sweeps = []
+    sweep = words_module._letter_sharing_pairs
+    monkeypatch.setattr(words_module, "_letter_sharing_pairs",
+                        lambda letter_sets: sweeps.append(len(letter_sets)) or sweep(letter_sets))
+    constant = make_code(2, 2000, [(0,) * 2000, (1,) * 2000], repetition_free=False)
+    assert verify_reverse_free(constant, "signature") == (True, None)
+    halves = make_code(2, 2000, [(0,) * 1000 + (1,) * 1000, (1,) * 1000 + (0,) * 1000],
+                       repetition_free=False)
+    assert verify_reverse_free(halves, "signature") == (False, (0, 1, 0, 1000))
+    assert verify_reverse_free(halves, "pairwise") == (False, (0, 1, 0, 1000))
+    assert sweeps == [1, 2]
 
 
 def test_mask_limit_guards_every_mask_reader(monkeypatch):
