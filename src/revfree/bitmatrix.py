@@ -6,6 +6,10 @@ a pair of rows and a pair of columns whose four intersections are all 1
 ``pair_overlaps``, the one sweep over row pairs, finds no two rows sharing
 two columns.  Everything here treats matrices as immutable values.
 
+Every mask in the package is an int whose bit c marks member c: ``set_bits``
+reads masks and ``scatter`` writes them, in a bytearray, so only this module
+knows that layout.  The package has one mask budget, ``MAX_MASK_BYTES``.
+
 Exact permanents use Glynn's formula with the signs walked in Gray-code
 order: 2^(n-1) terms, each formed from n running row sums, in O(n) memory.
 """
@@ -13,6 +17,7 @@ order: 2^(n-1) terms, each formed from n running row sums, in O(n) memory.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -29,6 +34,12 @@ PERMANENT_MAX_SIDE = 27
 # vCPUs, Python 3.11)
 MAX_MATRIX_ROWS = 8_000_000
 
+# masks cost about 1.5 bytes of peak RSS per mask byte while they are built:
+# `shrink run` on the first 40000 / 60000 words of the n = 10^8 Fano lift
+# (200 / 450 MB of masks) peaks at 324 / 697 MB (2 shared vCPUs, Python
+# 3.11), so the limit keeps a run near 1 GB
+MAX_MASK_BYTES = 600_000_000
+
 
 def set_bits(mask: int):
     """Yield the indices of the set bits of a non-negative int, lowest first."""
@@ -38,15 +49,24 @@ def set_bits(mask: int):
         mask ^= low
 
 
+def scatter(pairs, width: int) -> dict:
+    """The inverse of ``set_bits``: for each key r of ``pairs``, in order of first
+    occurrence, the mask with bit c set for every (r, c) in ``pairs``, 0 <= c < width."""
+    masks: dict = defaultdict(lambda: bytearray((width + 7) >> 3))
+    for r, c in pairs:
+        masks[r][c >> 3] |= 1 << (c & 7)
+    return {r: int.from_bytes(b, "little") for r, b in masks.items()}
+
+
 class BinaryMatrix:
     """Immutable 0/1 matrix stored as one integer bitmask per row.
 
     Bit ``c`` of ``row_mask(r)`` is the entry at row ``r``, column ``c``
-    (both 0-based).  Column masks are derived lazily.  JSON I/O uses
+    (both 0-based).  Column masks are derived on each call.  JSON I/O uses
     1-based coordinates.
     """
 
-    __slots__ = ("rows", "cols", "_row_bits", "_col_bits")
+    __slots__ = ("rows", "cols", "_row_bits")
 
     def __init__(self, rows: int, cols: int, row_bits):
         _check_shape(rows, cols)
@@ -59,21 +79,34 @@ class BinaryMatrix:
         self.rows = rows
         self.cols = cols
         self._row_bits = row_bits
-        self._col_bits = None
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def from_ones(cls, rows: int, cols: int, ones) -> "BinaryMatrix":
-        """Build from 1-based (row, col) coordinates of the 1-entries."""
+        """Build from 1-based (row, col) coordinates of the 1-entries; row
+        masks, each as wide as its highest 1-entry, totalling over
+        ``MAX_MASK_BYTES`` raise ``CapacityError`` before any is built."""
         _check_shape(rows, cols)
         if rows > MAX_MATRIX_ROWS:
             raise CapacityError(
                 f"matrix of {rows} rows is over the limit of {MAX_MATRIX_ROWS} rows")
-        masks = [0] * rows
+        ones = list(ones)
+        masks = [0] * rows  # each row's highest column, until the masks are built
+        size = 0
         for r, c in ones:
             if not (1 <= r <= rows and 1 <= c <= cols):
                 raise PreconditionError(f"coordinate ({r},{c}) outside {rows}x{cols}")
+            if c > (top := masks[r - 1]):
+                masks[r - 1] = c
+                size += ((c + 7) >> 3) - ((top + 7) >> 3)
+        if size > MAX_MASK_BYTES:
+            raise CapacityError(f"row masks of a {rows}x{cols} matrix take {size} bytes, "
+                                f"over the limit of {MAX_MASK_BYTES} bytes")
+        for r, _ in ones:
+            masks[r - 1] = 0
+        # not scatter: a bytearray each would cost more on many one-bit rows
+        for r, c in ones:
             masks[r - 1] |= 1 << (c - 1)
         return cls(rows, cols, masks)
 
@@ -89,13 +122,9 @@ class BinaryMatrix:
         return self._row_bits
 
     def col_masks(self):
-        if self._col_bits is None:
-            cols = [0] * self.cols
-            for r, bits in enumerate(self._row_bits):
-                for c in set_bits(bits):
-                    cols[c] |= 1 << r
-            self._col_bits = tuple(cols)
-        return self._col_bits
+        cols = scatter(((c, r) for r, bits in enumerate(self._row_bits) for c in set_bits(bits)),
+                       self.rows)
+        return tuple(cols.get(c, 0) for c in range(self.cols))
 
     def weight(self) -> int:
         return sum(bits.bit_count() for bits in self._row_bits)
@@ -231,10 +260,7 @@ def count_s(matrix: BinaryMatrix) -> SCountReport:
     for a, b in combinations(masks, 2):
         shared = (a & b).bit_count()
         exact += shared * (shared - 1) // 2
-    row_pairs = 0
-    for r in range(matrix.rows):
-        d = matrix.row_weight(r)
-        row_pairs += d * (d - 1) // 2
+    row_pairs = sum(d * (d - 1) // 2 for d in map(matrix.row_weight, range(matrix.rows)))
     n, k = matrix.cols, matrix.rows
     m = matrix.weight() / (n * math.sqrt(k))
     return SCountReport(

@@ -34,11 +34,10 @@ def largest_plane_order(n: int):
     if n < 7:
         return None
     q = (math.isqrt(4 * n - 3) - 1) // 2
-    while q >= 2:
-        if factor_prime_power(q) is not None:
-            return q
+    # n >= 7 gives q >= 2, and 2 is prime
+    while factor_prime_power(q) is None:
         q -= 1
-    return None
+    return q
 
 
 # -- matchings inside an S-free matrix ---------------------------------------
@@ -238,12 +237,7 @@ def pad_code(code: Code, n: int) -> Code:
         raise PreconditionError(f"target alphabet {n} smaller than current {code.n}")
     check_code_letters(len(code.words), n)
     tail = tuple(range(code.n, n))
-    return Code(
-        n=n,
-        k=n,
-        repetition_free=True,
-        words=tuple(w + tail for w in code.words),
-    )
+    return Code(n=n, k=n, repetition_free=True, words=tuple(w + tail for w in code.words))
 
 
 def residue_classes(n: int, k: int):

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .bitmatrix import BinaryMatrix, pair_overlaps, set_bits
+from .bitmatrix import BinaryMatrix, pair_overlaps, scatter, set_bits
 from .errors import PreconditionError, _read_document
 from .galois import GF
 
@@ -112,10 +112,8 @@ def plane_verify(plane: ProjectivePlane) -> PlaneReport:
     """Exhaustively check all six axioms; failures carry a counterexample."""
     npts, nlines, r = len(plane.points), len(plane.lines), plane.order
     line_masks = _line_masks(plane)
-    # BinaryMatrix holds no empty side; without lines every point mask is 0
-    point_masks = (0,) * npts
-    if npts and nlines:
-        point_masks = BinaryMatrix(nlines, npts, line_masks).col_masks()
+    points = scatter(((j, i) for i, line in enumerate(plane.lines) for j in line), nlines)
+    point_masks = [points.get(j, 0) for j in range(npts)]
     checks = (
         _check_p0(plane, line_masks, point_masks),
         _check_pairs("P1", line_masks, point_masks, "lines {} and {} meet in {} points"),
@@ -129,13 +127,9 @@ def plane_verify(plane: ProjectivePlane) -> PlaneReport:
 
 def _line_masks(plane):
     """One point bitmask per line."""
-    masks = []
-    for line in plane.lines:
-        mask = 0
-        for j in line:
-            mask |= 1 << j
-        masks.append(mask)
-    return masks
+    lines = scatter(((i, j) for i, line in enumerate(plane.lines) for j in line),
+                    len(plane.points))
+    return [lines.get(i, 0) for i in range(len(plane.lines))]
 
 
 def _check_pairs(axiom, masks, duals, detail):

@@ -45,7 +45,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import combinations
 
-from .bitmatrix import BinaryMatrix, count_s
+from .bitmatrix import BinaryMatrix, count_s, scatter
 from .errors import InvariantError, PreconditionError
 from .words import Code, _letter_sharing_pairs, support_masks, verify_reverse_free
 
@@ -160,11 +160,9 @@ def _step(state: ShrinkState):
     m = state.density_m
     premise_ok = False
     if m >= 5.0:
-        # the one n-wide matrix, built only here, where n <= weight / 5
-        rows = [0] * k
-        for i, c in state._support:
-            rows[i] |= 1 << c
-        s_exact = count_s(BinaryMatrix(k, n, rows)).exact_count
+        # the one n-wide matrix, built only here, where n <= weight / 5; a kept
+        # word fills every row
+        s_exact = count_s(BinaryMatrix(k, n, scatter(state._support, n).values())).exact_count
         if s_exact >= n * n * m ** 4 / 5.0:
             premise_ok = True
             required = 2.0 * n * m ** 3 / (5.0 * math.sqrt(k))

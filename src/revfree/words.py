@@ -10,15 +10,16 @@ letter found there; ``reverse_partners``, the one reverse kernel, ANDs two
 such masks per position pair.  The exact conflict graph, the pairwise
 verifier on permutation codes and on at most 2k words, and the shrink state
 read these masks, which cost by the code's own letters, never by the
-alphabet size n.  On other codes the pairwise verifier reads first
-occurrences per position pair.  The signature verifier, the independent
-second route, reads only the position pairs whose columns share two
-distinct letters (a reverse at (i, j) puts an S on rows i, j of the overall
-matrix), found by one ``bitmatrix.pair_overlaps`` sweep over the letters at
-two or more positions; the same sweep, on the rows of its entry masks,
-asserts that the shrink procedure ends on an S-free overall matrix.
-``find_reverse`` tests one word pair in O(k), as the full-of-flips verifier
-does.
+alphabet size n.  The kernel and the signature verifier cost by the code's
+distinct columns, never by its length k, since equal columns hold no
+reverse.  On other codes the pairwise verifier reads first occurrences per
+position pair.  The signature verifier, the independent second route, reads
+only the position pairs whose columns share two distinct letters (a reverse
+at (i, j) puts an S on rows i, j of the overall matrix), found by one
+``bitmatrix.pair_overlaps`` sweep over the letters at two or more
+positions; the same sweep, on the rows of its entry masks, asserts that the
+shrink procedure ends on an S-free overall matrix.  ``find_reverse`` tests
+one word pair in O(k), as the full-of-flips verifier does.
 
 Letters are 0-based internally (0..n-1) and 1-based in JSON, matching the
 usual 1..n presentation at the boundary.
@@ -26,11 +27,11 @@ usual 1..n presentation at the boundary.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
-from .bitmatrix import BinaryMatrix, pair_overlaps, set_bits
+from .bitmatrix import MAX_MASK_BYTES, BinaryMatrix, pair_overlaps, scatter, set_bits
 from .errors import CapacityError, PreconditionError, _read_document
 
 Word = tuple  # letters as a tuple of ints, 0-based
@@ -40,12 +41,6 @@ Word = tuple  # letters as a tuple of ints, 0-based
 # (8.0 M letters) peaks at 606 MB, the n = 28 lift (2.75 M) at 159 MB
 # (2 shared vCPUs, Python 3.11), so the limit keeps a construction under 1 GB
 MAX_CODE_LETTERS = 8_000_000
-
-# word masks cost about 1.5 bytes of peak RSS per mask byte while they are
-# built: `shrink run` on the first 40000 / 60000 words of the n = 10^8 Fano
-# lift (200 / 450 MB of masks) peaks at 324 / 697 MB (2 shared vCPUs,
-# Python 3.11), so the limit keeps a run near 1 GB
-MAX_MASK_BYTES = 600_000_000
 
 
 def check_code_letters(words: int, k: int) -> None:
@@ -132,17 +127,19 @@ def support_masks(words) -> list:
     letters that occur take space, ceil(M/8) bytes each.  Masks totalling
     over ``MAX_MASK_BYTES`` are refused with ``CapacityError`` before any
     is built."""
-    width = (len(words) + 7) >> 3
+    m = len(words)
     columns = list(zip(*words))
-    size = width * sum(len(set(column)) for column in columns)
-    _check_mask_bytes(size, f"word masks of {len(words)} words")
-    support = []
-    for column in columns:
-        bitmaps: dict = defaultdict(lambda: bytearray(width))
-        for v, c in enumerate(column):
-            bitmaps[c][v >> 3] |= 1 << (v & 7)
-        support.append({c: int.from_bytes(b, "little") for c, b in bitmaps.items()})
-    return support
+    _check_mask_bytes(((m + 7) >> 3) * sum(len(set(column)) for column in columns),
+                      f"word masks of {m} words")
+    return [scatter(zip(column, range(m)), m) for column in columns]
+
+
+def _distinct_columns(words):
+    """The distinct columns of ``words`` and the first position of each."""
+    at: dict = {}
+    for i, column in enumerate(zip(*words)):
+        at.setdefault(column, i)
+    return list(at), list(at.values())
 
 
 def reverse_partners(words):
@@ -151,13 +148,17 @@ def reverse_partners(words):
     Words x reversing with w at (i, j) are exactly those holding w_j at i and
     w_i at j, so the mask ORs ``support[i][w_j] & support[j][w_i]`` over
     i < j with w_i != w_j, taking j only from the positions where some word
-    holds w_i: O(M k r) AND steps, r the most positions a letter occurs at.
+    holds w_i, on the d distinct columns only, since equal columns give the
+    same masks: O(M d r) AND steps, r the most columns a letter occurs in.
     A letter that occurs only where w itself holds it offers no j and is
     skipped, so a word's own repeats cost nothing.
     """
     if len(words) < 2:  # a lone word has no partner, however long it is
         yield from [0] * len(words)
         return
+    columns, _ = _distinct_columns(words)
+    if len(columns) < len(words[0]):
+        words = list(zip(*columns))
     support = support_masks(words)
     where: dict = {}
     for j, masks in enumerate(support):
@@ -207,24 +208,23 @@ def verify_reverse_free(code: Code, method: str = "pairwise"):
     """Check that no pair of words in the code has a reverse.
 
     ``method`` selects one of two independent algorithms that must agree,
-    for M words of length k.  ``"pairwise"`` returns the lexicographically
-    first (a, b, i, j) over all reverses: on a permutation code (k = n) or
-    on M <= 2k words it takes the first word with a later partner from
-    ``reverse_partners`` (O(M k r)), otherwise, at each position pair, the
-    first word of each letter pair's two orientations (O(M k^2)).
-    ``"signature"`` first finds, in one sweep of the overall matrix on the
-    D letters found at two or more positions, the P position pairs whose
-    columns share two distinct letters, the only pairs that can hold a
-    reverse; at each of them it hashes the words' letter pairs, looks for a
-    swapped collision and, only where one exists, finds the first later
-    word b in an ordered pass (O(M k) plus the sweep's W AND steps of
-    (k + D)-bit masks, W the overall matrix's weight, plus O(M P),
-    P <= k(k-1)/2; its k x D masks over ``MAX_MASK_BYTES`` raise
-    ``CapacityError``).  Its witness has the
-    smallest b, then the smallest (i, j), then the smallest a.  Returns
-    ``(True, None)`` or ``(False, (a, b, i, j))`` with word indices a < b
-    and positions i < j; the two methods agree on the verdict but may
-    report different witnesses.
+    for M words of length k with d distinct columns.  ``"pairwise"``
+    returns the lexicographically first (a, b, i, j) over all reverses: on
+    a permutation code (k = n) or on M <= 2k words it takes the first word
+    with a later partner from ``reverse_partners`` (O(M d r)), otherwise,
+    at each position pair, the first word of each letter pair's two
+    orientations (O(M k^2)).  ``"signature"`` first finds, in one sweep of
+    the distinct columns' overall matrix on the D letters found in two or
+    more of them, the P column pairs sharing two distinct letters, the only
+    pairs that can hold a reverse; at each it hashes the words' letter
+    pairs, looks for a swapped collision and, only where one exists, finds
+    the first later word b in an ordered pass (O(M k) plus the sweep's W
+    AND steps of (d + D)-bit masks, W the overall matrix's weight, plus
+    O(M P), P <= d(d-1)/2; its d x D masks over ``MAX_MASK_BYTES`` raise
+    ``CapacityError``).  Its witness has the smallest b, then the smallest
+    (i, j), then the smallest a.  Returns ``(True, None)`` or
+    ``(False, (a, b, i, j))`` with word indices a < b and positions i < j;
+    the two methods agree on the verdict but may report different witnesses.
     """
     if method == "pairwise":
         return _reverse_free_pairwise(code)
@@ -278,16 +278,11 @@ def _letter_sharing_pairs(letter_sets):
     k, d = len(letter_sets), len(rank)
     _check_mask_bytes(k * ((d + 7) >> 3) + d * ((k + 7) >> 3),
                       f"letter masks of {k} positions and {d} shared letters")
-    rows = []
-    duals = [0] * d
-    for i, letters in enumerate(letter_sets):
-        row = 0
-        for c in letters & rank.keys():
-            r = rank[c]
-            row |= 1 << r
-            duals[r] |= 1 << i
-        rows.append(row)
-    for i, _, twice in pair_overlaps(rows, duals):
+    entries = [(i, rank[c]) for i, letters in enumerate(letter_sets)
+               for c in letters & rank.keys()]
+    rows = scatter(entries, d)
+    duals = scatter(((r, i) for i, r in entries), k)
+    for i, _, twice in pair_overlaps([rows.get(i, 0) for i in range(k)], duals):
         yield i, twice >> (i + 1)
 
 
@@ -300,10 +295,7 @@ def _reverse_free_signatures(code: Code):
     # first earlier partner a.  Each distinct column is read once, at its
     # first position: equal columns hold no reverse, and one that a column
     # holds with another is found first at their first positions.
-    at: dict = {}
-    for i, column in enumerate(zip(*code.words)):
-        at.setdefault(column, i)
-    columns, positions = list(at), list(at.values())
+    columns, positions = _distinct_columns(code.words)
     witnesses = []
     for i, later in _letter_sharing_pairs([set(column) for column in columns]):
         ci = columns[i]
@@ -348,11 +340,9 @@ def overall_matrix(code: Code) -> BinaryMatrix:
     has letter c at position i."""
     if not code.words:
         raise PreconditionError("overall matrix of an empty code is undefined")
-    masks = [0] * code.k
-    for w in code.words:
-        for i, c in enumerate(w):
-            masks[i] |= 1 << c
-    return BinaryMatrix(code.k, code.n, masks)
+    entries = [(i, c) for i, column in enumerate(zip(*code.words)) for c in set(column)]
+    rows = scatter(entries, max(c for _, c in entries) + 1)
+    return BinaryMatrix(code.k, code.n, rows.values())
 
 
 # -- JSON ---------------------------------------------------------------------

@@ -159,9 +159,10 @@ class TestConstruction:
             (2, 1, [1, True], "row 1 mask True is not an int in [0, 2^1)"),
             (1, 2, [4], "row 0 mask 4 is not an int in [0, 2^2)"),
             (1, 2, [-1], "row 0 mask -1 is not an int in [0, 2^2)"),
+            (2, 2, [1], "expected 2 row masks, got 1"),
         ],
         ids=["cols-float", "rows-float", "rows-bool", "cols-bool", "cols-str",
-             "mask-float", "mask-bool", "mask-high", "mask-negative"],
+             "mask-float", "mask-bool", "mask-high", "mask-negative", "mask-count"],
     )
     def test_refuses_non_int_header_and_masks(self, rows, cols, masks, message):
         with pytest.raises(PreconditionError) as info:
@@ -187,6 +188,17 @@ class TestConstruction:
             with pytest.raises(PreconditionError) as info:
                 make()
             assert str(info.value) == message
+
+    def test_mask_budget_is_sized_by_the_entries(self, monkeypatch):
+        # rows as wide as their highest entry, 16 and 8 bits, never 10^6
+        monkeypatch.setattr(bitmatrix, "MAX_MASK_BYTES", 3)
+        ones = [(1, 9), (2, 8), (1, 16)]
+        assert BinaryMatrix.from_ones(2, 10**6, ones).row_masks() == (0x8100, 0x80)
+        monkeypatch.setattr(bitmatrix, "MAX_MASK_BYTES", 2)
+        with pytest.raises(CapacityError) as info:
+            BinaryMatrix.from_ones(2, 10**6, ones)
+        assert str(info.value) == ("row masks of a 2x1000000 matrix take 3 bytes, "
+                                   "over the limit of 2 bytes")
 
     def test_row_limit_is_checked_before_allocating(self, monkeypatch):
         monkeypatch.setattr(bitmatrix, "MAX_MATRIX_ROWS", 3)
@@ -299,6 +311,16 @@ SPARSE_INTS = st.sets(st.integers(0, 12_000), max_size=20).map(
 def test_set_bits_lists_the_set_bits_lowest_first(mask):
     assert list(bitmatrix.set_bits(mask)) == [
         i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+PAIRS = st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 40)), max_size=30)
+
+
+@given(PAIRS)
+def test_scatter_is_the_inverse_of_set_bits(pairs):
+    masks = bitmatrix.scatter(pairs, 41)
+    assert list(masks) == list(dict.fromkeys(r for r, _ in pairs))
+    assert {(r, c) for r, mask in masks.items() for c in bitmatrix.set_bits(mask)} == set(pairs)
 
 
 class TestPairOverlaps:

@@ -359,6 +359,18 @@ class TestMatrixCommands:
             assert json.loads(result.stdout)["exact_count"] == 0
 
     @pytest.mark.parametrize("command", ["count-s", "permanent"])
+    def test_far_column_is_refused_before_its_mask(self, tmp_path, command):
+        # one entry at column 10^12 needs a 125 GB row mask
+        path = tmp_path / "far.json"
+        write_json(path, {"rows": 1, "cols": 10**12, "ones": [[1, 10**12]]})
+        result, elapsed = run_capped_cli("matrix", command, "--in", str(path))
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == ""
+        assert result.stderr == ("error: row masks of a 1x1000000000000 matrix take "
+                                 "125000000000 bytes, over the limit of 600000000 bytes\n")
+        assert elapsed < 2.0
+
+    @pytest.mark.parametrize("command", ["count-s", "permanent"])
     def test_huge_row_count(self, tmp_path, command):
         # refused before a row mask is allocated
         path = tmp_path / "tall.json"
@@ -387,6 +399,10 @@ class TestExactCommand:
             )
             assert code == 0
             assert json.loads(out)["value"] == value, mode
+
+    def test_empty_alphabet(self, capsys):
+        assert run_cli(capsys, "exact", "--n", "0", "--k", "3", "--mode", "F") == (
+            2, "", "error: need n >= 1 and k >= 1\n")
 
     def test_capacity_guard(self, capsys):
         code, _, err = run_cli(capsys, "exact", "--n", "10", "--k", "5", "--mode", "Fbar")
@@ -462,6 +478,17 @@ class TestShrinkCommand:
         assert code == 2
         assert "reverse" in err
 
+    def test_empty_code_has_no_trivial_bound(self, capsys, tmp_path):
+        # density 0 at threshold 0: no log of 0 is taken
+        code_path = tmp_path / "code.json"
+        write_code(code_path, 3, 2, [])
+        code, out, _ = run_cli(capsys, "shrink", "run", "--in", str(code_path),
+                               "--threshold", "0")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["final_size"], doc["final_density"]) == (0, 0.0)
+        assert doc["log2_size_bound_trivial"] is None
+
     @pytest.mark.parametrize("threshold", ["inf", "nan"])
     def test_rejects_non_finite_threshold(self, capsys, tmp_path, threshold):
         code_path = tmp_path / "code.json"
@@ -504,6 +531,17 @@ class TestBoundsCommand:
         fields = row.split(",")
         assert fields[:3] == ["14", "7", "3072"]
         assert len(fields) == 8
+
+    def test_alphabet_of_one(self, capsys):
+        # log_n is undefined at n = 1: the exponents are set directly
+        code, out, _ = run_cli(capsys, "bounds", "table", "--n", "1", "--k", "1", "--size", "1")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["exponent_achieved"], doc["reference_exponent"]) == (0.0, 1.0)
+
+    def test_rejects_fkk_below_one(self, capsys):
+        assert run_cli(capsys, "bounds", "table", "--n", "7", "--k", "7", "--size", "24",
+                       "--fkk", "0") == (2, "", "error: f_kk must be at least 1\n")
 
 
 class TestUsageErrors:

@@ -167,7 +167,8 @@ def _no_reverse(w, x):
 class TestLargestPlaneOrder:
     @pytest.mark.parametrize(
         "n,q",
-        [(7, 2), (12, 2), (13, 3), (20, 3), (21, 4), (57, 7), (72, 7), (73, 8), (91, 9), (100, 9)],
+        [(7, 2), (12, 2), (13, 3), (20, 3), (21, 4), (57, 7), (72, 7), (73, 8), (91, 9), (100, 9),
+         (43, 5), (111, 9)],
     )
     def test_values(self, n, q):
         assert largest_plane_order(n) == q

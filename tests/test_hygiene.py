@@ -1,7 +1,8 @@
 """Static checks on the library source, read with ``ast``: every import is
 used, every private top-level function has a caller in the package, every
 public function and method is read in the package unless it is listed with
-a reason, and every module-level constant is read in the package."""
+a reason, every module-level constant is read in the package, and no mask
+is written bit by bit outside ``bitmatrix``."""
 
 import ast
 from collections import Counter
@@ -97,3 +98,17 @@ def test_every_module_constant_is_read():
     ]
     assert "galois.py:MAX_FIELD_ORDER" in constants
     assert [c for c in constants if not loads[c.partition(":")[2]]] == []
+
+
+def test_masks_are_written_only_in_bitmatrix():
+    # ``mask |= 1 << c`` belongs in bitmatrix.scatter; toggles (``^=``) and
+    # ORs of whole masks are not mask writes
+    writes = [
+        f"{module}:{node.lineno}"
+        for module, tree in TREES.items()
+        if module != "bitmatrix.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.BitOr)
+        and isinstance(node.value, ast.BinOp) and isinstance(node.value.op, ast.LShift)
+    ]
+    assert writes == []

@@ -480,6 +480,19 @@ def test_signature_reads_each_distinct_column_once(monkeypatch):
     assert sweeps == [1, 2]
 
 
+def test_reverse_partners_reads_each_distinct_column_once(monkeypatch):
+    # 3000 positions but two distinct columns, (0, 1) and (1, 0): reading
+    # every position cost O(k^2) AND steps, 0.6 s at this length
+    widths = []
+    masks = words_module.support_masks
+    monkeypatch.setattr(words_module, "support_masks",
+                        lambda words: widths.append(len(words[0])) or masks(words))
+    halves = make_code(2, 3000, [(0,) * 1500 + (1,) * 1500, (1,) * 1500 + (0,) * 1500],
+                       repetition_free=False)
+    assert verify_reverse_free(halves, "pairwise") == (False, (0, 1, 0, 1500))
+    assert widths == [2]
+
+
 def test_mask_limit_guards_every_mask_reader(monkeypatch):
     # five cyclic shifts: 5 positions x 5 letters, one byte of mask each
     code = make_code(5, 5, [tuple((s + i) % 5 for i in range(5)) for s in range(5)])
