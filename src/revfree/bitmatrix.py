@@ -4,11 +4,10 @@ The S pattern is the 2x2 all-ones matrix; an occurrence of S in a matrix is
 a pair of rows and a pair of columns whose four intersections are all 1
 (a K_{2,2} in the bipartite adjacency reading), so a matrix is S-free when
 ``pair_overlaps``, the one sweep over row pairs, finds no two rows sharing
-two columns.  Everything here treats matrices as immutable values.
-
-Every mask in the package is an int whose bit c marks member c: ``set_bits``
-reads masks and ``scatter`` writes them, in a bytearray, so only this module
-knows that layout.  The package has one mask budget, ``MAX_MASK_BYTES``.
+two columns.  Everything here treats matrices as immutable values.  Masks
+are ints whose bit c marks member c: ``set_bits`` reads them and ``scatter``
+writes them, so only this module knows that layout; ``MAX_MASK_BYTES`` bounds
+a matrix document's row masks and a code's word and letter masks.
 
 Exact permanents use Glynn's formula with the signs walked in Gray-code
 order: 2^(n-1) terms, each formed from n running row sums, in O(n) memory.
@@ -49,13 +48,19 @@ def set_bits(mask: int):
         mask ^= low
 
 
-def scatter(pairs, width: int) -> dict:
-    """The inverse of ``set_bits``: for each key r of ``pairs``, in order of first
-    occurrence, the mask with bit c set for every (r, c) in ``pairs``, 0 <= c < width."""
-    masks: dict = defaultdict(lambda: bytearray((width + 7) >> 3))
+def scatter(pairs) -> dict:
+    """The inverse of ``set_bits``: per key r of ``pairs``, in first-occurrence
+    order, the mask of the c in its (r, c), in a bytearray as wide as its top c."""
+    members: dict = defaultdict(list)
     for r, c in pairs:
-        masks[r][c >> 3] |= 1 << (c & 7)
-    return {r: int.from_bytes(b, "little") for r, b in masks.items()}
+        members[r].append(c)
+    masks = {}
+    for r, cs in members.items():
+        mask = bytearray((max(cs) >> 3) + 1)
+        for c in cs:
+            mask[c >> 3] |= 1 << (c & 7)
+        masks[r] = int.from_bytes(mask, "little")
+    return masks
 
 
 class BinaryMatrix:
@@ -84,28 +89,23 @@ class BinaryMatrix:
 
     @classmethod
     def from_ones(cls, rows: int, cols: int, ones) -> "BinaryMatrix":
-        """Build from 1-based (row, col) coordinates of the 1-entries; row
-        masks, each as wide as its highest 1-entry, totalling over
-        ``MAX_MASK_BYTES`` raise ``CapacityError`` before any is built."""
+        """Build from a list of the 1-entries' 1-based (row, col); row masks, as
+        wide as their top 1-entries, over ``MAX_MASK_BYTES`` raise ``CapacityError``."""
         _check_shape(rows, cols)
         if rows > MAX_MATRIX_ROWS:
             raise CapacityError(
                 f"matrix of {rows} rows is over the limit of {MAX_MATRIX_ROWS} rows")
-        ones = list(ones)
-        masks = [0] * rows  # each row's highest column, until the masks are built
-        size = 0
+        top = [0] * rows  # each row's highest column
         for r, c in ones:
             if not (1 <= r <= rows and 1 <= c <= cols):
                 raise PreconditionError(f"coordinate ({r},{c}) outside {rows}x{cols}")
-            if c > (top := masks[r - 1]):
-                masks[r - 1] = c
-                size += ((c + 7) >> 3) - ((top + 7) >> 3)
-        if size > MAX_MASK_BYTES:
+            top[r - 1] = max(top[r - 1], c)
+        if (size := sum((c + 7) >> 3 for c in top)) > MAX_MASK_BYTES:
             raise CapacityError(f"row masks of a {rows}x{cols} matrix take {size} bytes, "
                                 f"over the limit of {MAX_MASK_BYTES} bytes")
-        for r, _ in ones:
-            masks[r - 1] = 0
-        # not scatter: a bytearray each would cost more on many one-bit rows
+        del top  # the row masks take its place
+        # not scatter: a list and a bytearray each would cost more on many one-bit rows
+        masks = [0] * rows
         for r, c in ones:
             masks[r - 1] |= 1 << (c - 1)
         return cls(rows, cols, masks)
@@ -122,8 +122,7 @@ class BinaryMatrix:
         return self._row_bits
 
     def col_masks(self):
-        cols = scatter(((c, r) for r, bits in enumerate(self._row_bits) for c in set_bits(bits)),
-                       self.rows)
+        cols = scatter((c, r) for r, bits in enumerate(self._row_bits) for c in set_bits(bits))
         return tuple(cols.get(c, 0) for c in range(self.cols))
 
     def weight(self) -> int:
@@ -260,7 +259,10 @@ def count_s(matrix: BinaryMatrix) -> SCountReport:
     for a, b in combinations(masks, 2):
         shared = (a & b).bit_count()
         exact += shared * (shared - 1) // 2
-    row_pairs = sum(d * (d - 1) // 2 for d in map(matrix.row_weight, range(matrix.rows)))
+    row_pairs = 0
+    for r in range(matrix.rows):
+        d = matrix.row_weight(r)
+        row_pairs += d * (d - 1) // 2
     n, k = matrix.cols, matrix.rows
     m = matrix.weight() / (n * math.sqrt(k))
     return SCountReport(

@@ -237,7 +237,12 @@ def pad_code(code: Code, n: int) -> Code:
         raise PreconditionError(f"target alphabet {n} smaller than current {code.n}")
     check_code_letters(len(code.words), n)
     tail = tuple(range(code.n, n))
-    return Code(n=n, k=n, repetition_free=True, words=tuple(w + tail for w in code.words))
+    return Code(
+        n=n,
+        k=n,
+        repetition_free=True,
+        words=tuple(w + tail for w in code.words),
+    )
 
 
 def residue_classes(n: int, k: int):

@@ -175,8 +175,7 @@ def _clique_number(adj, words) -> int:
     minus the earlier orbits)), and each sub-search need only beat the best
     so far.
     """
-    orbits = scatter(((tuple(sorted(Counter(w).values())), v) for v, w in enumerate(words)),
-                     len(words))
+    orbits = scatter((tuple(sorted(Counter(w).values())), v) for v, w in enumerate(words))
     omega = 0
     taken = 0
     # any order is exact; largest first leaves the later sub-searches small
@@ -194,8 +193,12 @@ def _optimum(graph: ConflictGraph, adj):
     words: omega from the orbit searches, then the full search stopped at
     its first omega-clique, the witness the full search returns."""
     chosen = max_clique_vertices(adj, len(graph.words), stop=_clique_number(adj, graph.words))
-    return len(chosen), Code(n=graph.n, k=graph.k, repetition_free=graph.repetition_free,
-                             words=tuple(graph.words[v] for v in chosen))
+    return len(chosen), Code(
+        n=graph.n,
+        k=graph.k,
+        repetition_free=graph.repetition_free,
+        words=tuple(graph.words[v] for v in chosen),
+    )
 
 
 def max_reverse_free(n: int, k: int, repetition_free: bool):

@@ -112,7 +112,7 @@ def plane_verify(plane: ProjectivePlane) -> PlaneReport:
     """Exhaustively check all six axioms; failures carry a counterexample."""
     npts, nlines, r = len(plane.points), len(plane.lines), plane.order
     line_masks = _line_masks(plane)
-    points = scatter(((j, i) for i, line in enumerate(plane.lines) for j in line), nlines)
+    points = scatter((j, i) for i, line in enumerate(plane.lines) for j in line)
     point_masks = [points.get(j, 0) for j in range(npts)]
     checks = (
         _check_p0(plane, line_masks, point_masks),
@@ -127,8 +127,7 @@ def plane_verify(plane: ProjectivePlane) -> PlaneReport:
 
 def _line_masks(plane):
     """One point bitmask per line."""
-    lines = scatter(((i, j) for i, line in enumerate(plane.lines) for j in line),
-                    len(plane.points))
+    lines = scatter((i, j) for i, line in enumerate(plane.lines) for j in line)
     return [lines.get(i, 0) for i in range(len(plane.lines))]
 
 

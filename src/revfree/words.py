@@ -121,17 +121,16 @@ def _check_mask_bytes(size: int, masks: str) -> None:
                             f"over the limit of {MAX_MASK_BYTES} bytes")
 
 
-def support_masks(words) -> list:
-    """For each position i, a dict from each letter found at i to the mask
-    of the indices of the words holding it there: O(M k) steps, and only
-    letters that occur take space, ceil(M/8) bytes each.  Masks totalling
-    over ``MAX_MASK_BYTES`` are refused with ``CapacityError`` before any
-    is built."""
-    m = len(words)
-    columns = list(zip(*words))
+def support_masks(columns) -> list:
+    """For each column, the M words' letters at one position, a dict from each
+    letter in it to the mask of the indices of the words holding it there:
+    O(M k) steps, and only letters that occur take space, at most ceil(M/8)
+    bytes each.  Masks totalling over ``MAX_MASK_BYTES`` are refused with
+    ``CapacityError`` before any is built."""
+    m = len(columns[0]) if columns else 0
     _check_mask_bytes(((m + 7) >> 3) * sum(len(set(column)) for column in columns),
                       f"word masks of {m} words")
-    return [scatter(zip(column, range(m)), m) for column in columns]
+    return [scatter(zip(column, range(m))) for column in columns]
 
 
 def _distinct_columns(words):
@@ -148,23 +147,18 @@ def reverse_partners(words):
     Words x reversing with w at (i, j) are exactly those holding w_j at i and
     w_i at j, so the mask ORs ``support[i][w_j] & support[j][w_i]`` over
     i < j with w_i != w_j, taking j only from the positions where some word
-    holds w_i, on the d distinct columns only, since equal columns give the
-    same masks: O(M d r) AND steps, r the most columns a letter occurs in.
+    holds w_i, on the d distinct columns (equal columns give equal masks):
+    O(M d r) AND steps, r the most columns a letter occurs in.
     A letter that occurs only where w itself holds it offers no j and is
-    skipped, so a word's own repeats cost nothing.
+    skipped, so a word's own repeats cost nothing, and a lone word costs O(k).
     """
-    if len(words) < 2:  # a lone word has no partner, however long it is
-        yield from [0] * len(words)
-        return
     columns, _ = _distinct_columns(words)
-    if len(columns) < len(words[0]):
-        words = list(zip(*columns))
-    support = support_masks(words)
+    support = support_masks(columns)
     where: dict = {}
     for j, masks in enumerate(support):
         for c in masks:
             where.setdefault(c, []).append(j)
-    for w in words:
+    for w in zip(*columns):
         partners = 0
         own = Counter(w) if len(set(w)) < len(w) else None
         for i, wi in enumerate(w):
@@ -278,10 +272,9 @@ def _letter_sharing_pairs(letter_sets):
     k, d = len(letter_sets), len(rank)
     _check_mask_bytes(k * ((d + 7) >> 3) + d * ((k + 7) >> 3),
                       f"letter masks of {k} positions and {d} shared letters")
-    entries = [(i, rank[c]) for i, letters in enumerate(letter_sets)
-               for c in letters & rank.keys()]
-    rows = scatter(entries, d)
-    duals = scatter(((r, i) for i, r in entries), k)
+    rows = scatter((i, rank[c]) for i, letters in enumerate(letter_sets)
+                   for c in letters & rank.keys())
+    duals = scatter((r, i) for i, row in rows.items() for r in set_bits(row))
     for i, _, twice in pair_overlaps([rows.get(i, 0) for i in range(k)], duals):
         yield i, twice >> (i + 1)
 
@@ -340,8 +333,7 @@ def overall_matrix(code: Code) -> BinaryMatrix:
     has letter c at position i."""
     if not code.words:
         raise PreconditionError("overall matrix of an empty code is undefined")
-    entries = [(i, c) for i, column in enumerate(zip(*code.words)) for c in set(column)]
-    rows = scatter(entries, max(c for _, c in entries) + 1)
+    rows = scatter((i, c) for i, column in enumerate(zip(*code.words)) for c in set(column))
     return BinaryMatrix(code.k, code.n, rows.values())
 
 

@@ -318,7 +318,7 @@ PAIRS = st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 40)), max_size=30)
 
 @given(PAIRS)
 def test_scatter_is_the_inverse_of_set_bits(pairs):
-    masks = bitmatrix.scatter(pairs, 41)
+    masks = bitmatrix.scatter(pairs)
     assert list(masks) == list(dict.fromkeys(r for r, _ in pairs))
     assert {(r, c) for r, mask in masks.items() for c in bitmatrix.set_bits(mask)} == set(pairs)
 

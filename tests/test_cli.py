@@ -370,6 +370,17 @@ class TestMatrixCommands:
                                  "125000000000 bytes, over the limit of 600000000 bytes\n")
         assert elapsed < 2.0
 
+    def test_column_masks_are_as_wide_as_their_highest_row(self, tmp_path):
+        # 2000 columns, each 1 only in row 1 of 8,000,000: one byte of mask
+        # each, where masks as wide as the matrix is tall would take 2 GB
+        path = tmp_path / "tall.json"
+        write_json(path, {"rows": 8_000_000, "cols": 2000,
+                          "ones": [[1, c] for c in range(1, 2001)]})
+        result, _ = run_capped_cli("matrix", "count-s", "--in", str(path))
+        assert result.returncode == 0, result.stderr
+        doc = json.loads(result.stdout)
+        assert (doc["exact_count"], doc["row_pair_count"]) == (0, 1999000)
+
     @pytest.mark.parametrize("command", ["count-s", "permanent"])
     def test_huge_row_count(self, tmp_path, command):
         # refused before a row mask is allocated

@@ -483,14 +483,19 @@ def test_signature_reads_each_distinct_column_once(monkeypatch):
 def test_reverse_partners_reads_each_distinct_column_once(monkeypatch):
     # 3000 positions but two distinct columns, (0, 1) and (1, 0): reading
     # every position cost O(k^2) AND steps, 0.6 s at this length
-    widths = []
+    built = []
     masks = words_module.support_masks
-    monkeypatch.setattr(words_module, "support_masks",
-                        lambda words: widths.append(len(words[0])) or masks(words))
+
+    def spy(columns):
+        support = masks(columns)
+        built.append(len(support))
+        return support
+
+    monkeypatch.setattr(words_module, "support_masks", spy)
     halves = make_code(2, 3000, [(0,) * 1500 + (1,) * 1500, (1,) * 1500 + (0,) * 1500],
                        repetition_free=False)
     assert verify_reverse_free(halves, "pairwise") == (False, (0, 1, 0, 1500))
-    assert widths == [2]
+    assert built == [2]  # one dict of masks per column read
 
 
 def test_mask_limit_guards_every_mask_reader(monkeypatch):
