@@ -6,8 +6,9 @@ a pair of rows and a pair of columns whose four intersections are all 1
 ``pair_overlaps``, the one sweep over row pairs, finds no two rows sharing
 two columns.  Everything here treats matrices as immutable values.  Masks
 are ints whose bit c marks member c: ``set_bits`` reads them and ``scatter``
-writes them, so only this module knows that layout; ``MAX_MASK_BYTES`` bounds
-a matrix document's row masks and a code's word and letter masks.
+writes them, so only this module knows that layout.  ``MAX_MASK_BYTES``
+bounds every table ``scatter`` builds, a matrix document's row masks and a
+code's word and letter masks.
 
 Exact permanents use Glynn's formula with the signs walked in Gray-code
 order: 2^(n-1) terms, each formed from n running row sums, in O(n) memory.
@@ -50,13 +51,19 @@ def set_bits(mask: int):
 
 def scatter(pairs) -> dict:
     """The inverse of ``set_bits``: per key r of ``pairs``, in first-occurrence
-    order, the mask of the c in its (r, c), in a bytearray as wide as its top c."""
+    order, the mask of the c in its (r, c), in a bytearray as wide as its top c.
+    Masks totalling over ``MAX_MASK_BYTES`` are refused with ``CapacityError``
+    before any is built."""
     members: dict = defaultdict(list)
     for r, c in pairs:
         members[r].append(c)
+    tops = list(map(max, members.values()))
+    if (size := sum(top >> 3 for top in tops) + len(tops)) > MAX_MASK_BYTES:
+        raise CapacityError(f"{len(tops)} masks take {size} bytes, "
+                            f"over the limit of {MAX_MASK_BYTES} bytes")
     masks = {}
-    for r, cs in members.items():
-        mask = bytearray((max(cs) >> 3) + 1)
+    for (r, cs), top in zip(members.items(), tops):
+        mask = bytearray((top >> 3) + 1)
         for c in cs:
             mask[c >> 3] |= 1 << (c & 7)
         masks[r] = int.from_bytes(mask, "little")

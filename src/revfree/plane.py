@@ -151,7 +151,7 @@ def _check_p0(plane, line_masks, point_masks):
     index_of = {pt: j for j, pt in enumerate(plane.points)}
     frame = [index_of.get(pt) for pt in STANDARD_FRAME]
     if None not in frame:
-        fmask = sum(1 << j for j in frame)
+        fmask = scatter((0, j) for j in frame)[0]
         if all((fmask & lm).bit_count() <= 2 for lm in line_masks):
             return AxiomCheck("P0", True)
 

@@ -6,20 +6,21 @@ the same two positions in swapped order.  A code is *reverse-free* when no
 pair of its words has a reverse, and *full of flips* when every pair does.
 
 ``support_masks`` gives, per position, the mask of the words holding each
-letter found there; ``reverse_partners``, the one reverse kernel, ANDs two
-such masks per position pair.  The exact conflict graph, the pairwise
-verifier on permutation codes and on at most 2k words, and the shrink state
-read these masks, which cost by the code's own letters, never by the
-alphabet size n.  The kernel and the signature verifier cost by the code's
-distinct columns, never by its length k, since equal columns hold no
-reverse.  On other codes the pairwise verifier reads first occurrences per
-position pair.  The signature verifier, the independent second route, reads
-only the position pairs whose columns share two distinct letters (a reverse
-at (i, j) puts an S on rows i, j of the overall matrix), found by one
-``bitmatrix.pair_overlaps`` sweep over the letters at two or more
-positions; the same sweep, on the rows of its entry masks, asserts that the
-shrink procedure ends on an S-free overall matrix.  ``find_reverse`` tests
-one word pair in O(k), as the full-of-flips verifier does.
+letter found there; ``reverse_partners``, the reverse kernel of the exact
+conflict graph, ANDs two such masks per position pair.  The conflict graph
+and the shrink state read these masks, which cost by the code's own
+letters, never by the alphabet size n.  The kernel and both verifiers cost
+by the code's distinct columns, never by its length k, since equal columns
+hold no reverse.  The verifiers read only the column pairs that share two
+distinct letters (a reverse at (i, j) puts an S on rows i, j of the overall
+matrix), each found its own way: the pairwise verifier counts, per column,
+the later columns holding each of its letters and reads first occurrences
+on each pair it keeps; the signature verifier, the independent second
+route, runs one ``bitmatrix.pair_overlaps`` sweep over the letters at two
+or more positions, and the same sweep, on the rows of its entry masks,
+asserts that the shrink procedure ends on an S-free overall matrix.
+``find_reverse`` tests one word pair in O(k), as the full-of-flips verifier
+does.
 
 Letters are 0-based internally (0..n-1) and 1-based in JSON, matching the
 usual 1..n presentation at the boundary.
@@ -149,8 +150,6 @@ def reverse_partners(words):
     i < j with w_i != w_j, taking j only from the positions where some word
     holds w_i, on the d distinct columns (equal columns give equal masks):
     O(M d r) AND steps, r the most columns a letter occurs in.
-    A letter that occurs only where w itself holds it offers no j and is
-    skipped, so a word's own repeats cost nothing, and a lone word costs O(k).
     """
     columns, _ = _distinct_columns(words)
     support = support_masks(columns)
@@ -160,13 +159,9 @@ def reverse_partners(words):
             where.setdefault(c, []).append(j)
     for w in zip(*columns):
         partners = 0
-        own = Counter(w) if len(set(w)) < len(w) else None
         for i, wi in enumerate(w):
             at_i = support[i]
-            js = where[wi]
-            if len(js) == (own[wi] if own else 1):
-                continue  # w holds w_i wherever it occurs: no j to pair with
-            for j in js:
+            for j in where[wi]:
                 if j > i and (wj := w[j]) != wi and wj in at_i:
                     partners |= at_i[wj] & support[j][wi]
         yield partners
@@ -202,16 +197,17 @@ def verify_reverse_free(code: Code, method: str = "pairwise"):
     """Check that no pair of words in the code has a reverse.
 
     ``method`` selects one of two independent algorithms that must agree,
-    for M words of length k with d distinct columns.  ``"pairwise"``
-    returns the lexicographically first (a, b, i, j) over all reverses: on
-    a permutation code (k = n) or on M <= 2k words it takes the first word
-    with a later partner from ``reverse_partners`` (O(M d r)), otherwise,
-    at each position pair, the first word of each letter pair's two
-    orientations (O(M k^2)).  ``"signature"`` first finds, in one sweep of
-    the distinct columns' overall matrix on the D letters found in two or
-    more of them, the P column pairs sharing two distinct letters, the only
-    pairs that can hold a reverse; at each it hashes the words' letter
-    pairs, looks for a swapped collision and, only where one exists, finds
+    for M words of length k with d distinct columns.  Both read only the P
+    distinct column pairs sharing two distinct letters, the only pairs that
+    can hold a reverse.  ``"pairwise"`` returns the lexicographically first
+    (a, b, i, j) over all reverses: it counts, per column, the later columns
+    holding each of its letters, and at each pair it keeps takes the first
+    word of each letter pair's two orientations (O(M k) plus sum_c r_c^2
+    counting steps, r_c the distinct columns holding letter c, plus
+    O(M P)); it builds no masks.  ``"signature"`` finds the P pairs in one
+    sweep of the distinct columns' overall matrix on the D letters found in
+    two or more of them; at each it hashes the words' letter pairs, looks
+    for a swapped collision and, only where one exists, finds
     the first later word b in an ordered pass (O(M k) plus the sweep's W
     AND steps of (d + D)-bit masks, W the overall matrix's weight, plus
     O(M P), P <= d(d-1)/2; its d x D masks over ``MAX_MASK_BYTES`` raise
@@ -228,33 +224,31 @@ def verify_reverse_free(code: Code, method: str = "pairwise"):
 
 
 def _reverse_free_pairwise(code: Code):
-    words = code.words
-    # the kernel on permutation codes and on at most 2k words; past 2k words
-    # of a lift (n > k) the scan is faster, 0.96 s against 17.0 s at k = 9, n = 27
-    if len(words) <= 2 * code.k or code.repetition_free and code.k == code.n:
-        # the first a with a later partner, its lowest b, then their first (i, j)
-        for a, partners in enumerate(reverse_partners(words)):
-            if later := partners >> (a + 1):
-                b = a + (later & -later).bit_length()
-                return False, (a, b, *find_reverse(words[a], words[b]))
-        return True, None
-    # Many words: at each position pair, the words holding (x, y) and those
-    # holding (y, x) form every reverse of that letter class, and the first
-    # such pair is the two classes' first occurrences in order, since the
-    # smaller one precedes every word of the other orientation.  The reversed
-    # columns let one dict build keep each letter pair's smallest word index.
-    columns = list(zip(*words[::-1]))
-    order = range(len(words) - 1, -1, -1)
+    # At each position pair, the words holding (x, y) and those holding
+    # (y, x) form every reverse of that letter class, and the first such
+    # pair is the two classes' first occurrences in order, since the smaller
+    # one precedes every word of the other orientation.  The reversed columns
+    # let one dict build keep each letter pair's smallest word index.  Only
+    # distinct columns sharing two letters can hold a reverse, and one that
+    # two columns hold is found first at their first positions.
+    columns, positions = _distinct_columns(code.words[::-1])
+    order = range(len(code.words) - 1, -1, -1)
+    later: dict = {}  # each letter's distinct columns after i
     best = None
-    for i, ci in enumerate(columns):
-        for j in range(i + 1, len(columns)):
-            cj = columns[j]
-            first = dict(zip(zip(ci, cj), order))
-            for x, y in first.keys() & zip(cj, ci):
-                if x < y:
-                    a, b = sorted((first[x, y], first[y, x]))
-                    if best is None or (a, b, i, j) < best:
-                        best = (a, b, i, j)
+    for i in range(len(columns) - 1, -1, -1):
+        ci = columns[i]
+        letters = set(ci)
+        shared = Counter(chain.from_iterable(later.get(c, ()) for c in letters))
+        for j, count in shared.items():
+            if count > 1:
+                first = dict(zip(zip(ci, columns[j]), order))
+                for x, y in first:
+                    if x < y and (y, x) in first:
+                        a, b = sorted((first[x, y], first[y, x]))
+                        if best is None or (a, b, positions[i], positions[j]) < best:
+                            best = (a, b, positions[i], positions[j])
+        for c in letters:
+            later.setdefault(c, []).append(i)
     return best is None, best
 
 

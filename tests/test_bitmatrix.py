@@ -323,6 +323,17 @@ def test_scatter_is_the_inverse_of_set_bits(pairs):
     assert {(r, c) for r, mask in masks.items() for c in bitmatrix.set_bits(mask)} == set(pairs)
 
 
+def test_scatter_refuses_masks_over_the_limit(monkeypatch):
+    # each mask as wide as its highest member: 2 bytes for key 0, 1 for key 1
+    pairs = [(0, 8), (1, 0), (0, 3)]
+    monkeypatch.setattr(bitmatrix, "MAX_MASK_BYTES", 3)
+    assert bitmatrix.scatter(pairs) == {0: 0x108, 1: 1}
+    monkeypatch.setattr(bitmatrix, "MAX_MASK_BYTES", 2)
+    with pytest.raises(CapacityError) as info:
+        bitmatrix.scatter(pairs)
+    assert str(info.value) == "2 masks take 3 bytes, over the limit of 2 bytes"
+
+
 class TestPairOverlaps:
     def test_matches_row_intersections_on_random(self):
         rng = random.Random(7)

@@ -381,6 +381,18 @@ class TestMatrixCommands:
         doc = json.loads(result.stdout)
         assert (doc["exact_count"], doc["row_pair_count"]) == (0, 1999000)
 
+    def test_column_masks_are_refused_over_the_mask_limit(self, tmp_path):
+        # 2000 columns, each 1 only in the last of 8,000,000 rows: 1 MB of
+        # mask each, 2 GB in all
+        path = tmp_path / "tall.json"
+        write_json(path, {"rows": 8_000_000, "cols": 2000,
+                          "ones": [[8_000_000, c] for c in range(1, 2001)]})
+        result, _ = run_capped_cli("matrix", "count-s", "--in", str(path))
+        assert result.returncode == 2, result.stderr
+        assert result.stdout == ""
+        assert result.stderr == ("error: 2000 masks take 2000000000 bytes, "
+                                 "over the limit of 600000000 bytes\n")
+
     @pytest.mark.parametrize("command", ["count-s", "permanent"])
     def test_huge_row_count(self, tmp_path, command):
         # refused before a row mask is allocated

@@ -101,14 +101,22 @@ def test_every_module_constant_is_read():
 
 
 def test_masks_are_written_only_in_bitmatrix():
-    # ``mask |= 1 << c`` belongs in bitmatrix.scatter; toggles (``^=``) and
-    # ORs of whole masks are not mask writes
+    # ``mask |= 1 << c`` and ``sum(1 << c for c in ...)`` belong in
+    # bitmatrix.scatter; toggles (``^=``) and ORs of whole masks are not mask
+    # writes
+    def shifted(node):
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.LShift)
+
     writes = [
         f"{module}:{node.lineno}"
         for module, tree in TREES.items()
         if module != "bitmatrix.py"
         for node in ast.walk(tree)
         if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.BitOr)
-        and isinstance(node.value, ast.BinOp) and isinstance(node.value.op, ast.LShift)
+        and shifted(node.value)
+        or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "sum" and node.args
+        and isinstance(node.args[0], (ast.GeneratorExp, ast.ListComp))
+        and shifted(node.args[0].elt)
     ]
     assert writes == []

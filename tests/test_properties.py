@@ -235,25 +235,14 @@ REVERSE_FREE_SIX = ((0, 1, 2), (1, 2, 0), (2, 0, 1), (3, 4, 0), (4, 0, 3), (0, 3
     ],
     ids=["6-free", "7-free", "6-reversed", "7-reversed", "7-first", "7-middle"],
 )
-def test_pairwise_at_the_branch_boundary(monkeypatch, words, expected):
+def test_pairwise_at_the_branch_boundary(words, expected):
     code = Code(n=5, k=3, repetition_free=True, words=words)
     assert pairwise_scan(code) == expected
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return reverse_partners(*args)
-
-    monkeypatch.setattr(words_module, "reverse_partners", counted)
     assert verify_reverse_free(code, "pairwise") == expected
-    # M <= 2k reads the partner masks; M > 2k works on position pairs instead
-    assert bool(calls) == (len(words) <= 2 * code.k)
 
 
 @pytest.mark.parametrize("swapped", [False, True], ids=["free", "reversed"])
-def test_pairwise_reads_the_partner_masks_on_a_permutation_code(
-        monkeypatch, fano_code24, swapped):
-    # 24 words > 2k = 14, but k = n: the kernel, not the position-pair scan
+def test_pairwise_on_a_permutation_code_past_2k_words(fano_code24, swapped):
     words = fano_code24.words
     if swapped:
         w = words[3]
@@ -261,15 +250,17 @@ def test_pairwise_reads_the_partner_masks_on_a_permutation_code(
     code = Code(n=7, k=7, repetition_free=True, words=words)
     expected = pairwise_scan(code)
     assert expected[0] is not swapped
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return reverse_partners(*args)
-
-    monkeypatch.setattr(words_module, "reverse_partners", counted)
     assert verify_reverse_free(code, "pairwise") == expected
-    assert calls
+
+
+def test_pairwise_reads_no_mask_route(monkeypatch, fano_code24):
+    # pairwise shares only the distinct-column read with the mask routes
+    def refuse(*args):
+        raise AssertionError("pairwise read a mask route")
+
+    for name in ("reverse_partners", "support_masks", "_letter_sharing_pairs", "pair_overlaps"):
+        monkeypatch.setattr(words_module, name, refuse)
+    assert verify_reverse_free(fano_code24, "pairwise") == (True, None)
 
 
 def test_pairwise_on_lifted_fano_needs_no_word_scan(monkeypatch, lifted_fano_code):

@@ -21,8 +21,9 @@ from revfree import (
     verify_full_of_flips,
     verify_reverse_free,
 )
+from revfree import bitmatrix as bitmatrix_module
 from revfree import words as words_module
-from test_properties import first_reverse_by_later_word
+from test_properties import PROPERTY_SETTINGS, first_reverse_by_later_word, pairwise_scan
 
 
 def make_code(n, k, words, repetition_free=True):
@@ -445,6 +446,15 @@ def repeated_column_codes(draw):
     return Code(n=code.n, k=len(layout), repetition_free=False, words=list(words))
 
 
+@st.composite
+def permutation_codes_past_2k(draw):
+    """Permutation codes (k = n) of more than 2k words."""
+    k = draw(st.integers(4, 5))
+    words = st.permutations(range(k)).map(tuple)
+    return Code(n=k, k=k, repetition_free=True,
+                words=draw(st.lists(words, min_size=2 * k + 1, max_size=24, unique=True)))
+
+
 @settings(max_examples=400, deadline=None)
 @given(sparse_codes() | repeated_column_codes())
 def test_signature_reads_only_letter_sharing_pairs(code):
@@ -492,10 +502,20 @@ def test_reverse_partners_reads_each_distinct_column_once(monkeypatch):
         return support
 
     monkeypatch.setattr(words_module, "support_masks", spy)
+    halves = [(0,) * 1500 + (1,) * 1500, (1,) * 1500 + (0,) * 1500]
+    assert list(words_module.reverse_partners(halves)) == [0b10, 0b01]
+    assert built == [2]  # one dict of masks per column read
+
+
+def test_pairwise_reads_each_distinct_column_once(monkeypatch):
+    read = []
+    distinct = words_module._distinct_columns
+    monkeypatch.setattr(words_module, "_distinct_columns",
+                        lambda words: read.append(distinct(words)) or read[-1])
     halves = make_code(2, 3000, [(0,) * 1500 + (1,) * 1500, (1,) * 1500 + (0,) * 1500],
                        repetition_free=False)
     assert verify_reverse_free(halves, "pairwise") == (False, (0, 1, 0, 1500))
-    assert built == [2]  # one dict of masks per column read
+    assert [len(columns) for columns, _ in read] == [2]
 
 
 def test_mask_limit_guards_every_mask_reader(monkeypatch):
@@ -504,11 +524,9 @@ def test_mask_limit_guards_every_mask_reader(monkeypatch):
     monkeypatch.setattr(words_module, "MAX_MASK_BYTES", 24)
     message = "word masks of 5 words take 25 bytes, over the limit of 24 bytes"
     with pytest.raises(CapacityError, match=message):
-        verify_reverse_free(code, "pairwise")
-    with pytest.raises(CapacityError, match=message):
         ShrinkState.from_code(code)
-    monkeypatch.setattr(words_module, "MAX_MASK_BYTES", 25)
     assert verify_reverse_free(code, "pairwise") == (True, None)
+    monkeypatch.setattr(words_module, "MAX_MASK_BYTES", 25)
     assert ShrinkState.from_code(code).size == 5
     # the signature sweep: 5 rows of 5 letter bits and 5 duals of 5 position bits
     monkeypatch.setattr(words_module, "MAX_MASK_BYTES", 9)
@@ -521,6 +539,21 @@ def test_mask_limit_guards_every_mask_reader(monkeypatch):
     monkeypatch.setattr(words_module, "MAX_MASK_BYTES", 5)
     with pytest.raises(CapacityError, match="word masks of 6 words take 6 bytes"):
         build_conflict_graph(3, 2, True)
+
+
+def test_pairwise_needs_no_mask_budget(monkeypatch, fano_code24):
+    # 24 words over 7 positions of 3 letters each: 21 masks of 3 bytes
+    monkeypatch.setattr(words_module, "MAX_MASK_BYTES", 62)
+    monkeypatch.setattr(bitmatrix_module, "MAX_MASK_BYTES", 62)
+    with pytest.raises(CapacityError, match="word masks of 24 words take 63 bytes"):
+        ShrinkState.from_code(fano_code24)
+    assert verify_reverse_free(fano_code24, "pairwise") == (True, None)
+
+
+@PROPERTY_SETTINGS
+@given(sparse_codes() | repeated_column_codes() | permutation_codes_past_2k())
+def test_pairwise_matches_the_word_pair_scan(code):
+    assert verify_reverse_free(code, "pairwise") == pairwise_scan(code)
 
 
 class TestVerifyFullOfFlips:
