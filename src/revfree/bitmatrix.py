@@ -6,9 +6,9 @@ a pair of rows and a pair of columns whose four intersections are all 1
 ``pair_overlaps``, the one sweep over row pairs, finds no two rows sharing
 two columns.  Everything here treats matrices as immutable values.  Masks
 are ints whose bit c marks member c: ``set_bits`` reads them and ``scatter``
-writes them, so only this module knows that layout.  ``MAX_MASK_BYTES``
-bounds every table ``scatter`` builds, a matrix document's row masks and a
-code's word and letter masks.
+writes them, so only this module knows that layout.  ``check_mask_bytes``
+refuses, by name, every mask table over ``MAX_MASK_BYTES``: those ``scatter``
+builds, a matrix document's row masks and a code's word and letter masks.
 
 Exact permanents use Glynn's formula with the signs walked in Gray-code
 order: 2^(n-1) terms, each formed from n running row sums, in O(n) memory.
@@ -49,18 +49,23 @@ def set_bits(mask: int):
         mask ^= low
 
 
-def scatter(pairs) -> dict:
+def check_mask_bytes(size: int, table: str) -> None:
+    """Refuse, by name, a mask table of ``size`` bytes over ``MAX_MASK_BYTES``."""
+    if size > MAX_MASK_BYTES:
+        raise CapacityError(f"{table} take {size} bytes, "
+                            f"over the limit of {MAX_MASK_BYTES} bytes")
+
+
+def scatter(pairs, table: str) -> dict:
     """The inverse of ``set_bits``: per key r of ``pairs``, in first-occurrence
     order, the mask of the c in its (r, c), in a bytearray as wide as its top c.
-    Masks totalling over ``MAX_MASK_BYTES`` are refused with ``CapacityError``
-    before any is built."""
+    Masks totalling over ``MAX_MASK_BYTES`` are refused with ``CapacityError``,
+    named by ``table``, before any is built."""
     members: dict = defaultdict(list)
     for r, c in pairs:
         members[r].append(c)
     tops = list(map(max, members.values()))
-    if (size := sum(top >> 3 for top in tops) + len(tops)) > MAX_MASK_BYTES:
-        raise CapacityError(f"{len(tops)} masks take {size} bytes, "
-                            f"over the limit of {MAX_MASK_BYTES} bytes")
+    check_mask_bytes(sum(top >> 3 for top in tops) + len(tops), table)
     masks = {}
     for (r, cs), top in zip(members.items(), tops):
         mask = bytearray((top >> 3) + 1)
@@ -107,9 +112,7 @@ class BinaryMatrix:
             if not (1 <= r <= rows and 1 <= c <= cols):
                 raise PreconditionError(f"coordinate ({r},{c}) outside {rows}x{cols}")
             top[r - 1] = max(top[r - 1], c)
-        if (size := sum((c + 7) >> 3 for c in top)) > MAX_MASK_BYTES:
-            raise CapacityError(f"row masks of a {rows}x{cols} matrix take {size} bytes, "
-                                f"over the limit of {MAX_MASK_BYTES} bytes")
+        check_mask_bytes(sum((c + 7) >> 3 for c in top), f"row masks of a {rows}x{cols} matrix")
         del top  # the row masks take its place
         # not scatter: a list and a bytearray each would cost more on many one-bit rows
         masks = [0] * rows
@@ -129,7 +132,8 @@ class BinaryMatrix:
         return self._row_bits
 
     def col_masks(self):
-        cols = scatter((c, r) for r, bits in enumerate(self._row_bits) for c in set_bits(bits))
+        cols = scatter(((c, r) for r, bits in enumerate(self._row_bits) for c in set_bits(bits)),
+                       f"column masks of a {self.rows}x{self.cols} matrix")
         return tuple(cols.get(c, 0) for c in range(self.cols))
 
     def weight(self) -> int:
@@ -146,11 +150,8 @@ class BinaryMatrix:
 
     def to_json_dict(self) -> dict:
         """``{"rows":, "cols":, "ones": [[r,c],...]}`` with 1-based, sorted ones."""
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "ones": [[r + 1, c + 1] for r, c in self.ones()],
-        }
+        return {"rows": self.rows, "cols": self.cols,
+                "ones": [[r + 1, c + 1] for r, c in self.ones()]}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BinaryMatrix":
@@ -161,11 +162,7 @@ class BinaryMatrix:
     def __eq__(self, other):
         if not isinstance(other, BinaryMatrix):
             return NotImplemented
-        return (self.rows, self.cols, self._row_bits) == (
-            other.rows,
-            other.cols,
-            other._row_bits,
-        )
+        return (self.rows, self.cols, self._row_bits) == (other.rows, other.cols, other._row_bits)
 
     def __hash__(self):
         return hash((self.rows, self.cols, self._row_bits))

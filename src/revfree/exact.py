@@ -70,7 +70,7 @@ def build_conflict_graph(n: int, k: int, repetition_free: bool) -> ConflictGraph
     else:
         words = tuple(product(range(n), repeat=k))
     return ConflictGraph(n=n, k=k, repetition_free=repetition_free, words=words,
-                         adj=tuple(reverse_partners(words)))
+                         adj=tuple(reverse_partners(Code(n, k, repetition_free, words))))
 
 
 # -- clique kernel -------------------------------------------------------------
@@ -175,7 +175,8 @@ def _clique_number(adj, words) -> int:
     minus the earlier orbits)), and each sub-search need only beat the best
     so far.
     """
-    orbits = scatter((tuple(sorted(Counter(w).values())), v) for v, w in enumerate(words))
+    orbits = scatter(((tuple(sorted(Counter(w).values())), v) for v, w in enumerate(words)),
+                     f"orbit masks of {len(words)} words")
     omega = 0
     taken = 0
     # any order is exact; largest first leaves the later sub-searches small

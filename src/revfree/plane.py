@@ -112,7 +112,7 @@ def plane_verify(plane: ProjectivePlane) -> PlaneReport:
     """Exhaustively check all six axioms; failures carry a counterexample."""
     npts, nlines, r = len(plane.points), len(plane.lines), plane.order
     line_masks = _line_masks(plane)
-    points = scatter((j, i) for i, line in enumerate(plane.lines) for j in line)
+    points = scatter(((j, i) for i, line in enumerate(plane.lines) for j in line), "point masks")
     point_masks = [points.get(j, 0) for j in range(npts)]
     checks = (
         _check_p0(plane, line_masks, point_masks),
@@ -127,7 +127,7 @@ def plane_verify(plane: ProjectivePlane) -> PlaneReport:
 
 def _line_masks(plane):
     """One point bitmask per line."""
-    lines = scatter((i, j) for i, line in enumerate(plane.lines) for j in line)
+    lines = scatter(((i, j) for i, line in enumerate(plane.lines) for j in line), "line masks")
     return [lines.get(i, 0) for i in range(len(plane.lines))]
 
 
@@ -151,7 +151,7 @@ def _check_p0(plane, line_masks, point_masks):
     index_of = {pt: j for j, pt in enumerate(plane.points)}
     frame = [index_of.get(pt) for pt in STANDARD_FRAME]
     if None not in frame:
-        fmask = scatter((0, j) for j in frame)[0]
+        fmask = scatter(((0, j) for j in frame), "frame masks")[0]
         if all((fmask & lm).bit_count() <= 2 for lm in line_masks):
             return AxiomCheck("P0", True)
 

@@ -71,7 +71,7 @@ class ShrinkState:
 
     @classmethod
     def from_code(cls, code: Code) -> "ShrinkState":
-        support = {(i, c): mask for i, masks in enumerate(support_masks(list(zip(*code.words))))
+        support = {(i, c): mask for i, masks in enumerate(support_masks(code.columns))
                    for c, mask in masks.items()}
         return cls(code, (1 << len(code.words)) - 1, support)
 
@@ -162,7 +162,8 @@ def _step(state: ShrinkState):
     if m >= 5.0:
         # the one n-wide matrix, built only here, where n <= weight / 5; a kept
         # word fills every row
-        s_exact = count_s(BinaryMatrix(k, n, scatter(state._support).values())).exact_count
+        rows = scatter(state._support, f"row masks of the {k}x{n} overall matrix")
+        s_exact = count_s(BinaryMatrix(k, n, rows.values())).exact_count
         if s_exact >= n * n * m ** 4 / 5.0:
             premise_ok = True
             required = 2.0 * n * m ** 3 / (5.0 * math.sqrt(k))

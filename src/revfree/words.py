@@ -5,34 +5,35 @@ w_i != w_j, w_i = x_j and w_j = x_i: the same two distinct letters sit on
 the same two positions in swapped order.  A code is *reverse-free* when no
 pair of its words has a reverse, and *full of flips* when every pair does.
 
-``support_masks`` gives, per position, the mask of the words holding each
-letter found there; ``reverse_partners``, the reverse kernel of the exact
-conflict graph, ANDs two such masks per position pair.  The conflict graph
-and the shrink state read these masks, which cost by the code's own
-letters, never by the alphabet size n.  The kernel and both verifiers cost
-by the code's distinct columns, never by its length k, since equal columns
-hold no reverse.  The verifiers read only the column pairs that share two
+A reverse lives on a pair of columns, so every stage reads a code by its
+columns: ``Code.columns``, the one transpose, is built once per code, on
+first read, and both verifiers, the reverse kernel, the shrink state and the
+overall matrix share it.  ``support_masks`` gives, per column, the mask of
+the words holding each letter there; ``reverse_partners``, the reverse
+kernel of the exact conflict graph, ANDs two such masks per column pair.
+These masks cost by the code's own letters, never by the alphabet size n.
+The kernel and both verifiers read only the distinct columns, since equal
+columns hold no reverse, and the verifiers only the column pairs sharing two
 distinct letters (a reverse at (i, j) puts an S on rows i, j of the overall
 matrix), each found its own way: the pairwise verifier counts, per column,
 the later columns holding each of its letters and reads first occurrences
 on each pair it keeps; the signature verifier, the independent second
-route, runs one ``bitmatrix.pair_overlaps`` sweep over the letters at two
-or more positions, and the same sweep, on the rows of its entry masks,
+route, runs one ``bitmatrix.pair_overlaps`` sweep over the letters in two
+or more columns, and the same sweep, on the rows of its entry masks,
 asserts that the shrink procedure ends on an S-free overall matrix.
 ``find_reverse`` tests one word pair in O(k), as the full-of-flips verifier
-does.
-
-Letters are 0-based internally (0..n-1) and 1-based in JSON, matching the
-usual 1..n presentation at the boundary.
+does.  Letters are 0-based internally (0..n-1) and 1-based in JSON.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from functools import cached_property
+from itertools import chain, repeat
+from operator import add
 
-from .bitmatrix import MAX_MASK_BYTES, BinaryMatrix, pair_overlaps, scatter, set_bits
+from .bitmatrix import BinaryMatrix, check_mask_bytes, pair_overlaps, scatter, set_bits
 from .errors import CapacityError, PreconditionError, _read_document
 
 Word = tuple  # letters as a tuple of ints, 0-based
@@ -85,6 +86,12 @@ class Code:
                 or len(set(words)) != len(words)):
             raise PreconditionError(_first_fault(words, n, k, repetition_free, 0))
 
+    @cached_property
+    def columns(self) -> tuple:
+        """The k columns (none if there are no words), column i holding each
+        word's letter at position i: the one transpose, built on first read."""
+        return tuple(zip(*self.words))
+
     def __len__(self):
         return len(self.words)
 
@@ -116,12 +123,6 @@ def _first_fault(words, n: int, k: int, repetition_free: bool, base: int) -> str
 # -- the reverse relation -----------------------------------------------------
 
 
-def _check_mask_bytes(size: int, masks: str) -> None:
-    if size > MAX_MASK_BYTES:
-        raise CapacityError(f"{masks} take {size} bytes, "
-                            f"over the limit of {MAX_MASK_BYTES} bytes")
-
-
 def support_masks(columns) -> list:
     """For each column, the M words' letters at one position, a dict from each
     letter in it to the mask of the indices of the words holding it there:
@@ -129,20 +130,20 @@ def support_masks(columns) -> list:
     bytes each.  Masks totalling over ``MAX_MASK_BYTES`` are refused with
     ``CapacityError`` before any is built."""
     m = len(columns[0]) if columns else 0
-    _check_mask_bytes(((m + 7) >> 3) * sum(len(set(column)) for column in columns),
-                      f"word masks of {m} words")
-    return [scatter(zip(column, range(m))) for column in columns]
+    table = f"word masks of {m} words"
+    check_mask_bytes(((m + 7) >> 3) * sum(len(set(column)) for column in columns), table)
+    return [scatter(zip(column, range(m)), table) for column in columns]
 
 
-def _distinct_columns(words):
-    """The distinct columns of ``words`` and the first position of each."""
+def _distinct_columns(columns):
+    """The distinct ``columns`` and the first position of each."""
     at: dict = {}
-    for i, column in enumerate(zip(*words)):
+    for i, column in enumerate(columns):
         at.setdefault(column, i)
     return list(at), list(at.values())
 
 
-def reverse_partners(words):
+def reverse_partners(code: Code):
     """Yield, word by word, the mask of the word indices it has a reverse with.
 
     Words x reversing with w at (i, j) are exactly those holding w_j at i and
@@ -151,7 +152,7 @@ def reverse_partners(words):
     holds w_i, on the d distinct columns (equal columns give equal masks):
     O(M d r) AND steps, r the most columns a letter occurs in.
     """
-    columns, _ = _distinct_columns(words)
+    columns, _ = _distinct_columns(code.columns)
     support = support_masks(columns)
     where: dict = {}
     for j, masks in enumerate(support):
@@ -231,7 +232,7 @@ def _reverse_free_pairwise(code: Code):
     # let one dict build keep each letter pair's smallest word index.  Only
     # distinct columns sharing two letters can hold a reverse, and one that
     # two columns hold is found first at their first positions.
-    columns, positions = _distinct_columns(code.words[::-1])
+    columns, positions = _distinct_columns(code.columns)
     order = range(len(code.words) - 1, -1, -1)
     later: dict = {}  # each letter's distinct columns after i
     best = None
@@ -241,7 +242,7 @@ def _reverse_free_pairwise(code: Code):
         shared = Counter(chain.from_iterable(later.get(c, ()) for c in letters))
         for j, count in shared.items():
             if count > 1:
-                first = dict(zip(zip(ci, columns[j]), order))
+                first = dict(zip(zip(reversed(ci), reversed(columns[j])), order))
                 for x, y in first:
                     if x < y and (y, x) in first:
                         a, b = sorted((first[x, y], first[y, x]))
@@ -264,11 +265,11 @@ def _letter_sharing_pairs(letter_sets):
     counts = Counter(chain.from_iterable(letter_sets))
     rank = {c: r for r, c in enumerate([c for c, m in counts.items() if m > 1])}
     k, d = len(letter_sets), len(rank)
-    _check_mask_bytes(k * ((d + 7) >> 3) + d * ((k + 7) >> 3),
-                      f"letter masks of {k} positions and {d} shared letters")
-    rows = scatter((i, rank[c]) for i, letters in enumerate(letter_sets)
-                   for c in letters & rank.keys())
-    duals = scatter((r, i) for i, row in rows.items() for r in set_bits(row))
+    table = f"letter masks of {k} positions and {d} shared letters"
+    check_mask_bytes(k * ((d + 7) >> 3) + d * ((k + 7) >> 3), table)
+    rows = scatter(((i, rank[c]) for i, letters in enumerate(letter_sets)
+                    for c in letters & rank.keys()), table)
+    duals = scatter(((r, i) for i, row in rows.items() for r in set_bits(row)), table)
     for i, _, twice in pair_overlaps([rows.get(i, 0) for i in range(k)], duals):
         yield i, twice >> (i + 1)
 
@@ -281,24 +282,27 @@ def _reverse_free_signatures(code: Code):
     # ordered pass over the columns recovers the first later word b and its
     # first earlier partner a.  Each distinct column is read once, at its
     # first position: equal columns hold no reverse, and one that a column
-    # holds with another is found first at their first positions.
-    columns, positions = _distinct_columns(code.words)
+    # holds with another is found first at their first positions.  A letter
+    # pair (x, y) is keyed as the int x n + y, on a column scaled once by n.
+    columns, positions = _distinct_columns(code.columns)
+    n = code.n
     witnesses = []
     for i, later in _letter_sharing_pairs([set(column) for column in columns]):
         ci = columns[i]
+        scaled = [x * n for x in ci] if later else ()
         for j in set_bits(later << (i + 1)):
             cj = columns[j]
-            seen = set(zip(ci, cj))
-            if not any(x != y and (y, x) in seen for x, y in seen):
+            seen = set(map(add, scaled, cj))
+            if not any(x != y and y * n + x in seen for x, y in map(divmod, seen, repeat(n))):
                 continue
             first: dict = {}
             for b, (x, y) in enumerate(zip(ci, cj)):
                 if x != y:
-                    a = first.get((y, x))
+                    a = first.get(y * n + x)
                     if a is not None:
                         witnesses.append((b, positions[i], positions[j], a))
                         break
-                    first.setdefault((x, y), b)
+                    first.setdefault(x * n + y, b)
     if not witnesses:
         return True, None
     b, i, j, a = min(witnesses)
@@ -327,7 +331,8 @@ def overall_matrix(code: Code) -> BinaryMatrix:
     has letter c at position i."""
     if not code.words:
         raise PreconditionError("overall matrix of an empty code is undefined")
-    rows = scatter((i, c) for i, column in enumerate(zip(*code.words)) for c in set(column))
+    rows = scatter(((i, c) for i, column in enumerate(code.columns) for c in set(column)),
+                   f"row masks of the {code.k}x{code.n} overall matrix")
     return BinaryMatrix(code.k, code.n, rows.values())
 
 
@@ -335,12 +340,8 @@ def overall_matrix(code: Code) -> BinaryMatrix:
 
 
 def code_to_json_dict(code: Code) -> dict:
-    return {
-        "n": code.n,
-        "k": code.k,
-        "repetition_free": code.repetition_free,
-        "words": [[c + 1 for c in w] for w in code.words],
-    }
+    return {"n": code.n, "k": code.k, "repetition_free": code.repetition_free,
+            "words": [[c + 1 for c in w] for w in code.words]}
 
 
 def code_from_json_dict(data: dict) -> Code:

@@ -318,7 +318,7 @@ PAIRS = st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 40)), max_size=30)
 
 @given(PAIRS)
 def test_scatter_is_the_inverse_of_set_bits(pairs):
-    masks = bitmatrix.scatter(pairs)
+    masks = bitmatrix.scatter(pairs, "masks")
     assert list(masks) == list(dict.fromkeys(r for r, _ in pairs))
     assert {(r, c) for r, mask in masks.items() for c in bitmatrix.set_bits(mask)} == set(pairs)
 
@@ -327,11 +327,11 @@ def test_scatter_refuses_masks_over_the_limit(monkeypatch):
     # each mask as wide as its highest member: 2 bytes for key 0, 1 for key 1
     pairs = [(0, 8), (1, 0), (0, 3)]
     monkeypatch.setattr(bitmatrix, "MAX_MASK_BYTES", 3)
-    assert bitmatrix.scatter(pairs) == {0: 0x108, 1: 1}
+    assert bitmatrix.scatter(pairs, "two masks") == {0: 0x108, 1: 1}
     monkeypatch.setattr(bitmatrix, "MAX_MASK_BYTES", 2)
     with pytest.raises(CapacityError) as info:
-        bitmatrix.scatter(pairs)
-    assert str(info.value) == "2 masks take 3 bytes, over the limit of 2 bytes"
+        bitmatrix.scatter(pairs, "two masks")
+    assert str(info.value) == "two masks take 3 bytes, over the limit of 2 bytes"
 
 
 class TestPairOverlaps:

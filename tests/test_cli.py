@@ -321,6 +321,22 @@ class TestVerifyCommands:
         assert json.loads(out)["witness"]["word_indices"] == [0, 1]
 
 
+@pytest.mark.parametrize("argv", [("verify", "reverse-free", "--method", "both"),
+                                  ("shrink", "run", "--threshold", "0")], ids=["verify", "shrink"])
+def test_each_command_transposes_its_code_once(capsys, tmp_path, monkeypatch,
+                                               lifted_fano_code, argv):
+    # both verifiers, or the signature precondition and the shrink state, read
+    # the one ``Code.columns``
+    built = []
+    columns = revfree.Code.__dict__["columns"]
+    transpose = columns.func
+    monkeypatch.setattr(columns, "func", lambda code: built.append(len(code)) or transpose(code))
+    path = tmp_path / "lift.json"
+    path.write_text(json.dumps(revfree.code_to_json_dict(lifted_fano_code)), encoding="utf-8")
+    assert run_cli(capsys, *argv, "--in", str(path))[0] == 0
+    assert built == [len(lifted_fano_code)]
+
+
 class TestMatrixCommands:
     def test_count_s(self, capsys, tmp_path, fano_incidence):
         path = tmp_path / "m.json"
@@ -390,8 +406,8 @@ class TestMatrixCommands:
         result, _ = run_capped_cli("matrix", "count-s", "--in", str(path))
         assert result.returncode == 2, result.stderr
         assert result.stdout == ""
-        assert result.stderr == ("error: 2000 masks take 2000000000 bytes, "
-                                 "over the limit of 600000000 bytes\n")
+        assert result.stderr == ("error: column masks of a 8000000x2000 matrix take "
+                                 "2000000000 bytes, over the limit of 600000000 bytes\n")
 
     @pytest.mark.parametrize("command", ["count-s", "permanent"])
     def test_huge_row_count(self, tmp_path, command):

@@ -1,8 +1,9 @@
 """Static checks on the library source, read with ``ast``: every import is
 used, every private top-level function has a caller in the package, every
 public function and method is read in the package unless it is listed with
-a reason, every module-level constant is read in the package, and no mask
-is written bit by bit outside ``bitmatrix``."""
+a reason, every module-level constant is read in the package, no mask is
+written bit by bit outside ``bitmatrix``, and no code is transposed outside
+``Code.columns``."""
 
 import ast
 from collections import Counter
@@ -120,3 +121,21 @@ def test_masks_are_written_only_in_bitmatrix():
         and shifted(node.args[0].elt)
     ]
     assert writes == []
+
+
+def test_codes_are_transposed_only_in_code():
+    # ``zip(*words)`` belongs in ``Code.columns``, built once per code; every
+    # other stage reads those columns instead of transposing the words again
+    code = next(node for node in TREES["words.py"].body
+                if isinstance(node, ast.ClassDef) and node.name == "Code")
+    inside = set(map(id, ast.walk(code)))
+    transposes = [
+        (id(node) in inside, f"{module}:{node.lineno}")
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "zip"
+        and any(isinstance(arg, ast.Starred) and references(arg)["words"] for arg in node.args)
+    ]
+    assert [where for ours, where in transposes if not ours] == []
+    assert [ours for ours, _ in transposes] == [True]  # the rule sees Code's own

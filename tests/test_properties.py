@@ -80,8 +80,8 @@ def word_lists(draw, min_size=1, max_size=8):
 @PROPERTY_SETTINGS
 @given(word_lists(min_size=1, max_size=8))
 def test_kernel_matches_definition(spec):
-    _, _, _, words = spec
-    partners = list(reverse_partners(words))
+    n, k, repetition_free, words = spec
+    partners = list(reverse_partners(Code(n, k, repetition_free, words)))
     assert len(partners) == len(words)
     for a, mask in enumerate(partners):
         assert not mask >> a & 1, "a word is its own partner"

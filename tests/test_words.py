@@ -3,7 +3,7 @@ import re
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from revfree import (
@@ -446,6 +446,14 @@ def repeated_column_codes(draw):
     return Code(n=code.n, k=len(layout), repetition_free=False, words=list(words))
 
 
+@PROPERTY_SETTINGS
+@given(sparse_codes() | repeated_column_codes())
+@example(make_code(3, 4, [], repetition_free=False))
+def test_columns_are_the_transpose_of_the_words(code):
+    assert code.columns == tuple(zip(*code.words))
+    assert code.columns is code.columns  # built on the first read, then kept
+
+
 @st.composite
 def permutation_codes_past_2k(draw):
     """Permutation codes (k = n) of more than 2k words."""
@@ -502,7 +510,8 @@ def test_reverse_partners_reads_each_distinct_column_once(monkeypatch):
         return support
 
     monkeypatch.setattr(words_module, "support_masks", spy)
-    halves = [(0,) * 1500 + (1,) * 1500, (1,) * 1500 + (0,) * 1500]
+    halves = make_code(2, 3000, [(0,) * 1500 + (1,) * 1500, (1,) * 1500 + (0,) * 1500],
+                       repetition_free=False)
     assert list(words_module.reverse_partners(halves)) == [0b10, 0b01]
     assert built == [2]  # one dict of masks per column read
 
@@ -511,7 +520,7 @@ def test_pairwise_reads_each_distinct_column_once(monkeypatch):
     read = []
     distinct = words_module._distinct_columns
     monkeypatch.setattr(words_module, "_distinct_columns",
-                        lambda words: read.append(distinct(words)) or read[-1])
+                        lambda columns: read.append(distinct(columns)) or read[-1])
     halves = make_code(2, 3000, [(0,) * 1500 + (1,) * 1500, (1,) * 1500 + (0,) * 1500],
                        repetition_free=False)
     assert verify_reverse_free(halves, "pairwise") == (False, (0, 1, 0, 1500))
@@ -521,29 +530,28 @@ def test_pairwise_reads_each_distinct_column_once(monkeypatch):
 def test_mask_limit_guards_every_mask_reader(monkeypatch):
     # five cyclic shifts: 5 positions x 5 letters, one byte of mask each
     code = make_code(5, 5, [tuple((s + i) % 5 for i in range(5)) for s in range(5)])
-    monkeypatch.setattr(words_module, "MAX_MASK_BYTES", 24)
+    monkeypatch.setattr(bitmatrix_module, "MAX_MASK_BYTES", 24)
     message = "word masks of 5 words take 25 bytes, over the limit of 24 bytes"
     with pytest.raises(CapacityError, match=message):
         ShrinkState.from_code(code)
     assert verify_reverse_free(code, "pairwise") == (True, None)
-    monkeypatch.setattr(words_module, "MAX_MASK_BYTES", 25)
+    monkeypatch.setattr(bitmatrix_module, "MAX_MASK_BYTES", 25)
     assert ShrinkState.from_code(code).size == 5
     # the signature sweep: 5 rows of 5 letter bits and 5 duals of 5 position bits
-    monkeypatch.setattr(words_module, "MAX_MASK_BYTES", 9)
+    monkeypatch.setattr(bitmatrix_module, "MAX_MASK_BYTES", 9)
     with pytest.raises(CapacityError, match="letter masks of 5 positions and 5 shared "
                                             "letters take 10 bytes, over the limit of 9"):
         verify_reverse_free(code, "signature")
-    monkeypatch.setattr(words_module, "MAX_MASK_BYTES", 10)
+    monkeypatch.setattr(bitmatrix_module, "MAX_MASK_BYTES", 10)
     assert verify_reverse_free(code, "signature") == (True, None)
     # the 6 words of (n, k) = (3, 2) hold 2 x 3 one-byte masks
-    monkeypatch.setattr(words_module, "MAX_MASK_BYTES", 5)
+    monkeypatch.setattr(bitmatrix_module, "MAX_MASK_BYTES", 5)
     with pytest.raises(CapacityError, match="word masks of 6 words take 6 bytes"):
         build_conflict_graph(3, 2, True)
 
 
 def test_pairwise_needs_no_mask_budget(monkeypatch, fano_code24):
     # 24 words over 7 positions of 3 letters each: 21 masks of 3 bytes
-    monkeypatch.setattr(words_module, "MAX_MASK_BYTES", 62)
     monkeypatch.setattr(bitmatrix_module, "MAX_MASK_BYTES", 62)
     with pytest.raises(CapacityError, match="word masks of 24 words take 63 bytes"):
         ShrinkState.from_code(fano_code24)
