@@ -7,7 +7,9 @@ reverse-free code is then a maximum independent set and a maximum
 full-of-flips code a maximum clique.  Both are solved by one clique kernel
 (independent set goes through the complement) with greedy-coloring bounds,
 run twice: once per symmetry orbit for the clique number omega, then over
-the whole graph, stopped at its first omega-clique.  A brute-force subset
+the whole graph, stopped at its first omega-clique.  Each search renumbers
+its vertices, and the adjacency in that order is rebuilt by the same kernel
+on the reordered words, never by permuting mask bits.  A brute-force subset
 oracle cross-validates tiny instances.
 """
 
@@ -16,7 +18,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations, product
-from operator import itemgetter
 
 from .bitmatrix import scatter
 from .errors import CapacityError, PreconditionError
@@ -76,16 +77,18 @@ def build_conflict_graph(n: int, k: int, repetition_free: bool) -> ConflictGraph
 # -- clique kernel -------------------------------------------------------------
 
 
-def max_clique_vertices(adj, nv: int, within: int | None = None, beat: int = 0,
+def max_clique_vertices(adj, nv: int, relabel, within: int | None = None, beat: int = 0,
                         stop: int | None = None):
     """Maximum clique of a bitset-adjacency graph, as ascending vertex list.
 
     ``adj[v]`` is the mask of v's neighbours among vertices 0..nv-1.
     Branch and bound with greedy-coloring upper bounds; vertices are
     relabeled highest-degree-first (ties by index) so the search, and hence
-    the returned witness, is deterministic.  As in Tomita and Seki's MCQ, a
-    frame lists only the colour classes above kmin = |best| - |stack|, and a
-    child whose candidates cannot outgrow the best clique is never opened.
+    the returned witness, is deterministic.  The caller's ``relabel(order)``
+    gives the adjacency in that order: bit i of its mask r is bit order[i]
+    of adj[order[r]].  As in Tomita and Seki's MCQ, a frame lists only the
+    colour classes above kmin = |best| - |stack|, and a child whose
+    candidates cannot outgrow the best clique is never opened.
 
     ``within`` keeps the search to the vertices of that mask (all of them by
     default), ranked by their degree inside it.  Only a clique of more than
@@ -101,10 +104,7 @@ def max_clique_vertices(adj, nv: int, within: int | None = None, beat: int = 0,
     # a range scan, not set_bits: twice as fast on the dense masks searched here
     order = sorted((v for v in range(nv) if within >> v & 1),
                    key=lambda v: (-(adj[v] & within).bit_count(), v))
-    # relabel all masks at once: bit i of radj[r] is bit order[i] of
-    # adj[order[r]], permuted as characters of the binary string
-    pick = itemgetter(*[nv - 1 - v for v in reversed(order)])
-    radj = [int("".join(pick(format(adj[v], f"0{nv}b"))), 2) for v in order]
+    radj = relabel(order)
 
     def color_sort(cand: int, kmin: int):
         # classes 1..kmin are coloured but not listed: a vertex of colour
@@ -161,7 +161,7 @@ def max_clique_vertices(adj, nv: int, within: int | None = None, beat: int = 0,
     return sorted(order[i] for i in best)
 
 
-def _clique_number(adj, words) -> int:
+def _clique_number(adj, words, relabel) -> int:
     """The clique number of a conflict graph, or of its complement, on
     ``words``, searched once per symmetry orbit.
 
@@ -182,18 +182,38 @@ def _clique_number(adj, words) -> int:
     # any order is exact; largest first leaves the later sub-searches small
     for orbit in sorted(orbits.values(), key=int.bit_count, reverse=True):
         r = (orbit & -orbit).bit_length() - 1
-        rest = max_clique_vertices(adj, len(words), within=adj[r] & ~taken,
+        rest = max_clique_vertices(adj, len(words), relabel, within=adj[r] & ~taken,
                                    beat=max(omega - 1, 0))
         omega = max(omega, 1 + len(rest))
         taken |= orbit
     return omega
 
 
-def _optimum(graph: ConflictGraph, adj):
-    """Size and witness code of a maximum clique of ``adj`` on the graph's
-    words: omega from the orbit searches, then the full search stopped at
-    its first omega-clique, the witness the full search returns."""
-    chosen = max_clique_vertices(adj, len(graph.words), stop=_clique_number(adj, graph.words))
+def _complement(adj) -> list:
+    """The complement graph's masks: each vertex's non-neighbours but itself."""
+    full = (1 << len(adj)) - 1
+    return [full & ~mask & ~(1 << v) for v, mask in enumerate(adj)]
+
+
+def _ordered_adjacency(graph: ConflictGraph, complemented: bool):
+    """The kernel's ``relabel`` for the graph, or its complement: the
+    ``reverse_partners`` masks of the words in ``order``, O(|order| k r) AND
+    steps on |order|-bit masks, bit for bit the permuted adjacency."""
+    def relabel(order):
+        masks = list(reverse_partners(Code(graph.n, graph.k, graph.repetition_free,
+                                           [graph.words[v] for v in order])))
+        return _complement(masks) if complemented else masks
+    return relabel
+
+
+def _optimum(graph: ConflictGraph, complemented: bool):
+    """Size and witness code of a maximum clique of the graph, or of its
+    complement: omega from the orbit searches, then the full search stopped
+    at its first omega-clique, the witness the full search returns."""
+    adj = _complement(graph.adj) if complemented else graph.adj
+    relabel = _ordered_adjacency(graph, complemented)
+    chosen = max_clique_vertices(adj, len(graph.words), relabel,
+                                 stop=_clique_number(adj, graph.words, relabel))
     return len(chosen), Code(
         n=graph.n,
         k=graph.k,
@@ -208,16 +228,12 @@ def max_reverse_free(n: int, k: int, repetition_free: bool):
     Maximum independent set of the conflict graph, solved as a clique on
     the complement.
     """
-    graph = build_conflict_graph(n, k, repetition_free)
-    nv = len(graph.words)
-    full = (1 << nv) - 1
-    return _optimum(graph, [full & ~graph.adj[v] & ~(1 << v) for v in range(nv)])
+    return _optimum(build_conflict_graph(n, k, repetition_free), True)
 
 
 def max_full_of_flips(n: int, k: int, repetition_free: bool):
     """Exact maximum full-of-flips code size with a witness code."""
-    graph = build_conflict_graph(n, k, repetition_free)
-    return _optimum(graph, graph.adj)
+    return _optimum(build_conflict_graph(n, k, repetition_free), False)
 
 
 # -- brute-force oracle ---------------------------------------------------------
@@ -240,10 +256,7 @@ def naive_subset_oracle(graph: ConflictGraph, mode: str) -> int:
             f"{nv} vertices exceed the oracle limit {ORACLE_VERTEX_LIMIT}"
         )
     full = (1 << nv) - 1
-    if mode == "independent":
-        forbidden = graph.adj
-    else:
-        forbidden = [full & ~graph.adj[v] & ~(1 << v) for v in range(nv)]
+    forbidden = graph.adj if mode == "independent" else _complement(graph.adj)
     # sizes[m] is |m| + 1 when the subset m is valid, else 0
     sizes = bytearray(full + 1)
     sizes[0] = 1

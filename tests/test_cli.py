@@ -480,6 +480,15 @@ class TestExactCommand:
             assert doc["value"] == value
             assert doc["witness"] == [[1] * k] * value
 
+    @pytest.mark.parametrize("n, k, value", [(100, 2, 2), (10_000, 1, 1)])
+    def test_gbar_at_the_vertex_limit(self, n, k, value):
+        # 10000 vertices: each search's ordered adjacency is rebuilt from the
+        # reordered words, where a bit permutation of every mask took 2-3 s
+        result, elapsed = run_capped_cli("exact", "--n", str(n), "--k", str(k), "--mode", "Gbar")
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["value"] == value
+        assert elapsed < 1.5
+
 
 class TestShrinkCommand:
     def test_trace_to_file(self, capsys, tmp_path):

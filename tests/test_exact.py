@@ -3,6 +3,7 @@ import random
 import sys
 from functools import cache
 from itertools import permutations, product
+from operator import itemgetter
 
 import pytest
 
@@ -73,6 +74,18 @@ def reference_conflict_graph(n, k, repetition_free):
             adj[a] |= 1 << b
             adj[b] |= 1 << a
     return words, tuple(adj)
+
+
+def gathered(adj, nv):
+    """The reference ``relabel`` for the clique kernel: bit i of ordered
+    mask r is bit order[i] of adj[order[r]], gathered as characters of the
+    mask's nv-digit binary string."""
+    def relabel(order):
+        if not order:
+            return []
+        pick = itemgetter(*[nv - 1 - v for v in reversed(order)])
+        return [int("".join(pick(format(adj[v], f"0{nv}b"))), 2) for v in order]
+    return relabel
 
 
 def reference_max_clique(adj, nv):
@@ -165,7 +178,8 @@ def assert_solved_as_the_reference(graph, adj, searched_as_complement, expected)
     solve = max_reverse_free if searched_as_complement else max_full_of_flips
     size, witness = optimum(solve, graph.n, graph.k, graph.repetition_free)
     assert witness.words == tuple(graph.words[v] for v in expected)
-    assert size == len(expected) == _clique_number(adj, graph.words)
+    assert size == len(expected) == _clique_number(adj, graph.words,
+                                                  gathered(adj, len(graph.words)))
 
 
 # the reference's witness for F(6,3); its unstopped search of the 120
@@ -235,15 +249,16 @@ class TestConflictGraph:
 
 class TestMaxCliqueKernel:
     def test_empty_graph(self):
-        assert max_clique_vertices([], 0) == []
+        assert max_clique_vertices([], 0, gathered([], 0)) == []
 
     def test_edgeless(self):
-        assert max_clique_vertices([0, 0, 0], 3) in ([0], [1], [2])
+        edgeless = [0, 0, 0]
+        assert max_clique_vertices(edgeless, 3, gathered(edgeless, 3)) in ([0], [1], [2])
 
     def test_triangle_plus_pendant(self):
         # vertices 0-1-2 triangle, 3 attached to 0
         adj = [0b1110, 0b0101, 0b0011, 0b0001]
-        assert max_clique_vertices(adj, 4) == [0, 1, 2]
+        assert max_clique_vertices(adj, 4, gathered(adj, 4)) == [0, 1, 2]
 
     @pytest.mark.parametrize("n, k, repetition_free, searched_as_complement",
                              BENCHMARK_SHAPES)
@@ -253,25 +268,27 @@ class TestMaxCliqueKernel:
         nv = len(graph.words)
         adj = complement(graph.adj, nv) if searched_as_complement else list(graph.adj)
         expected = reference_max_clique(adj, nv)
-        assert max_clique_vertices(adj, nv) == expected
+        assert max_clique_vertices(adj, nv, gathered(adj, nv)) == expected
         assert_solved_as_the_reference(graph, adj, searched_as_complement, expected)
 
     def test_random_witnesses_match_the_reference(self):
         for adj, nv in random_graphs():
-            assert max_clique_vertices(adj, nv) == reference_max_clique(adj, nv)
+            assert max_clique_vertices(adj, nv, gathered(adj, nv)) == reference_max_clique(adj, nv)
 
     def test_stopping_at_the_clique_number_keeps_the_witness(self):
         for adj, nv in random_graphs():
-            full = max_clique_vertices(adj, nv)
-            assert max_clique_vertices(adj, nv, stop=len(full)) == full
+            relabel = gathered(adj, nv)
+            full = max_clique_vertices(adj, nv, relabel)
+            assert max_clique_vertices(adj, nv, relabel, stop=len(full)) == full
 
     def test_a_bound_at_the_clique_number_finds_nothing(self):
         for adj, nv in random_graphs():
-            omega = len(max_clique_vertices(adj, nv))
-            assert max_clique_vertices(adj, nv, beat=omega) == []
-            assert max_clique_vertices(adj, nv, beat=omega + 1) == []
+            relabel = gathered(adj, nv)
+            omega = len(max_clique_vertices(adj, nv, relabel))
+            assert max_clique_vertices(adj, nv, relabel, beat=omega) == []
+            assert max_clique_vertices(adj, nv, relabel, beat=omega + 1) == []
             if omega:
-                assert len(max_clique_vertices(adj, nv, beat=omega - 1)) == omega
+                assert len(max_clique_vertices(adj, nv, relabel, beat=omega - 1)) == omega
 
     def test_within_searches_the_induced_subgraph(self):
         rng = random.Random(14)
@@ -280,7 +297,7 @@ class TestMaxCliqueKernel:
             kept = [v for v in range(nv) if within >> v & 1]
             induced = [sum(1 << i for i, u in enumerate(kept) if adj[v] >> u & 1)
                        for v in kept]
-            clique = max_clique_vertices(adj, nv, within)
+            clique = max_clique_vertices(adj, nv, gathered(adj, nv), within)
             assert len(clique) == len(reference_max_clique(induced, len(kept)))
             assert all(within >> v & 1 for v in clique)
             assert all(adj[u] >> v & 1 for u in clique for v in clique if u != v)
@@ -290,7 +307,7 @@ class TestMaxCliqueKernel:
         edgeless = [0] * nv
         complete = complement(edgeless, nv)
         for adj in (edgeless, complete):
-            assert max_clique_vertices(adj, nv) == reference_max_clique(adj, nv)
+            assert max_clique_vertices(adj, nv, gathered(adj, nv)) == reference_max_clique(adj, nv)
 
 
 class TestSolverWitnesses:
@@ -373,7 +390,7 @@ class TestMaxFullOfFlips:
         nv = sys.getrecursionlimit() + 100
         full = (1 << nv) - 1
         adj = [full ^ (1 << v) for v in range(nv)]
-        assert max_clique_vertices(adj, nv) == list(range(nv))
+        assert max_clique_vertices(adj, nv, gathered(adj, nv)) == list(range(nv))
 
     def test_g22(self):
         size, witness = max_full_of_flips(2, 2, True)
@@ -415,7 +432,7 @@ def test_clique_search_matches_networkx_above_the_oracle_limit():
         graph.add_edges_from((u, v) for u in range(nv) for v in range(u + 1, nv)
                              if rng.random() < density)
         adj = [sum(1 << u for u in graph[v]) for v in range(nv)]
-        clique = max_clique_vertices(adj, nv)
+        clique = max_clique_vertices(adj, nv, gathered(adj, nv))
         assert len(clique) == nx.max_weight_clique(graph, weight=None)[1]
         assert all(adj[u] >> v & 1 for u in clique for v in clique if u != v)
 

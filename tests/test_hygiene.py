@@ -56,12 +56,12 @@ def test_every_private_function_has_a_caller():
 # public functions and methods with no reader in the package, each kept for
 # the reason given; a listed name that gains a reader, or goes, leaves the list
 UNREAD_PUBLIC = {
-    "contains": "perfbench spans it; it moves to the tests with its span (ROADMAP item 4)",
-    "overall_matrix": "perfbench spans it; it moves to the tests with its span (ROADMAP item 4)",
+    "contains": "perfbench spans it; it moves to the tests with its span (ROADMAP item 1)",
+    "overall_matrix": "perfbench spans it; it moves to the tests with its span (ROADMAP item 1)",
     "naive_subset_oracle": "tests/test_acceptance.py calls it from the library",
     "regular_permanent_lower_bound": "tests/test_acceptance.py calls it from the library",
     "row_mask": "tests/test_acceptance.py calls it from the library",
-    "largest_plane_order": "the lower-bound planner of ROADMAP item 3 is to call it",
+    "largest_plane_order": "the lower-bound planner of ROADMAP item 5 is to call it",
 }
 
 

@@ -1,6 +1,7 @@
 """Property tests: the reverse-partner kernel against the definition, verifier
 agreement, the word/matrix bijection, invariance under injective letter maps
 and S_k, S_n x S_k acting on the conflict graph as automorphisms, the
+clique search's ordered adjacency rebuilt by the partner kernel, the
 incremental shrink state against a full rebuild, and the shrink trace under
 increasing letter maps."""
 
@@ -21,6 +22,7 @@ from revfree import (
     verify_reverse_free,
 )
 from revfree import words as words_module
+from revfree.exact import _ordered_adjacency, max_clique_vertices
 from revfree.shrink import _step
 from revfree.words import find_reverse, overall_matrix, reverse_partners
 
@@ -180,6 +182,49 @@ def test_letter_and_position_permutations_are_graph_automorphisms(spec):
         moved = sum(1 << image[u] for u in range(len(graph.words)) if graph.adj[v] >> u & 1)
         assert graph.adj[image[v]] == moved
         assert sorted(Counter(graph.words[image[v]]).values()) == sorted(Counter(w).values())
+
+
+@st.composite
+def ordered_searches(draw):
+    """(graph, complemented, within): a word universe of at most 256 words,
+    searched as its conflict graph or its complement, on no vertex, one
+    vertex, every vertex or a random set."""
+    repetition_free = draw(st.booleans())
+    n = draw(st.integers(1, 5 if repetition_free else 4))
+    k = draw(st.integers(1, n if repetition_free else 4))
+    graph = build_conflict_graph(n, k, repetition_free)
+    nv = len(graph.words)
+    full = (1 << nv) - 1
+    one = st.integers(0, max(nv - 1, 0)).map(lambda v: 1 << v & full)
+    within = draw(st.sampled_from([0, full]) | one | st.integers(0, full))
+    return graph, draw(st.booleans()), within
+
+
+class Ordered(Exception):
+    """Raised by a ``relabel`` spy with the order the kernel asked for."""
+
+
+@PROPERTY_SETTINGS
+@given(ordered_searches())
+def test_rebuilt_ordered_adjacency_is_the_bit_gather(search):
+    """The partner kernel on the words in the clique kernel's own order
+    gives, bit for bit, the masks the reference gather permutes."""
+    from test_exact import complement, gathered  # test_exact imports this module
+
+    graph, complemented, within = search
+    nv = len(graph.words)
+    adj = complement(graph.adj, nv) if complemented else list(graph.adj)
+
+    def spy(order):
+        raise Ordered(order)
+
+    try:
+        max_clique_vertices(adj, nv, spy, within)
+        order = []
+    except Ordered as asked:
+        order = asked.args[0]
+    assert len(order) == within.bit_count()
+    assert _ordered_adjacency(graph, complemented)(order) == gathered(adj, nv)(order)
 
 
 def pairwise_scan(code):
