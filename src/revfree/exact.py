@@ -7,20 +7,22 @@ reverse-free code is then a maximum independent set and a maximum
 full-of-flips code a maximum clique.  Both are solved by one clique kernel
 (independent set goes through the complement) with greedy-coloring bounds,
 run twice: once per symmetry orbit for the clique number omega, then over
-the whole graph, stopped at its first omega-clique.  Each search renumbers
+the whole graph, stopped at its first omega-clique.  Each orbit's search
+takes the neighbourhood of one representative word r, and at its top level
+branches on one vertex per orbit of r's stabiliser.  Each search renumbers
 its vertices, and the adjacency in that order is rebuilt by the same kernel
-on the reordered words, never by permuting mask bits.  A brute-force subset
-oracle cross-validates tiny instances.
+on the universe's columns in that order, never by permuting mask bits.  A
+brute-force subset oracle cross-validates tiny instances.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import chain, permutations, product
 
-from .bitmatrix import scatter
-from .errors import CapacityError, PreconditionError
+from .bitmatrix import scatter, set_bits
+from .errors import CapacityError, InvariantError, PreconditionError
 from .words import Code, check_code_letters, reverse_partners
 
 VERTEX_LIMIT = 10_000
@@ -32,13 +34,14 @@ class ConflictGraph:
     """All words of the mode's word set, plus the reverse relation as edges.
 
     ``adj[v]`` is a bitmask over vertex indices; vertices are the words in
-    lexicographic order.
+    lexicographic order, and ``columns`` is their ``Code.columns``.
     """
 
     n: int
     k: int
     repetition_free: bool
     words: tuple
+    columns: tuple
     adj: tuple
 
 
@@ -70,15 +73,16 @@ def build_conflict_graph(n: int, k: int, repetition_free: bool) -> ConflictGraph
         words = tuple(permutations(range(n), k)) if total else ()
     else:
         words = tuple(product(range(n), repeat=k))
-    return ConflictGraph(n=n, k=k, repetition_free=repetition_free, words=words,
-                         adj=tuple(reverse_partners(Code(n, k, repetition_free, words))))
+    code = Code(n, k, repetition_free, words)
+    return ConflictGraph(n=n, k=k, repetition_free=repetition_free, words=code.words,
+                         columns=code.columns, adj=tuple(reverse_partners(code.columns)))
 
 
 # -- clique kernel -------------------------------------------------------------
 
 
 def max_clique_vertices(adj, nv: int, relabel, within: int | None = None, beat: int = 0,
-                        stop: int | None = None):
+                        stop: int | None = None, orbit_of: dict | None = None):
     """Maximum clique of a bitset-adjacency graph, as ascending vertex list.
 
     ``adj[v]`` is the mask of v's neighbours among vertices 0..nv-1.
@@ -96,6 +100,14 @@ def max_clique_vertices(adj, nv: int, relabel, within: int | None = None, beat: 
     replaces its best only on a strictly larger clique, so stopping at the
     first clique of ``stop`` vertices, the clique number, returns the clique
     the full search would.
+
+    ``orbit_of``, if given, maps each vertex of ``within`` to a label of its
+    orbit under a group of automorphisms of the graph that maps ``within``
+    onto itself.  A top-level branch on v then removes v's whole orbit from
+    the candidates, not just v: every clique through h(v) is the image under
+    h of one through v, searched there, so only the clique number stays
+    exact, not the witness.  A popped vertex that left with an earlier orbit
+    is skipped.
     """
     if within is None:
         within = (1 << nv) - 1
@@ -105,6 +117,10 @@ def max_clique_vertices(adj, nv: int, relabel, within: int | None = None, beat: 
     order = sorted((v for v in range(nv) if within >> v & 1),
                    key=lambda v: (-(adj[v] & within).bit_count(), v))
     radj = relabel(order)
+    if orbit_of is not None:
+        classes = scatter(((orbit_of[v], i) for i, v in enumerate(order)),
+                          f"orbit masks of {len(order)} vertices")
+        twins = [classes[orbit_of[v]] for v in order]
 
     def color_sort(cand: int, kmin: int):
         # classes 1..kmin are coloured but not listed: a vertex of colour
@@ -145,7 +161,12 @@ def max_clique_vertices(adj, nv: int, relabel, within: int | None = None, beat: 
             continue
         v = verts.pop()
         bounds.pop()
-        frame[0] = cand & ~(1 << v)
+        if stack or orbit_of is None:
+            frame[0] = cand & ~(1 << v)
+        elif cand >> v & 1:
+            frame[0] = cand & ~twins[v]
+        else:
+            continue
         sub = cand & radj[v]
         # a child frame of at most size - len(stack) - 1 vertices could
         # only list nothing
@@ -161,9 +182,9 @@ def max_clique_vertices(adj, nv: int, relabel, within: int | None = None, beat: 
     return sorted(order[i] for i in best)
 
 
-def _clique_number(adj, words, relabel) -> int:
+def _clique_number(adj, words, n: int, relabel) -> int:
     """The clique number of a conflict graph, or of its complement, on
-    ``words``, searched once per symmetry orbit.
+    ``words`` over [n], searched once per symmetry orbit.
 
     Relabelling letters and permuting positions keeps the reverse relation,
     so it acts on both graphs as automorphisms, whose orbits on words are
@@ -174,6 +195,10 @@ def _clique_number(adj, words, relabel) -> int:
     r_i that misses the earlier orbits.  So omega = max_i (1 + omega(N(r_i)
     minus the earlier orbits)), and each sub-search need only beat the best
     so far.
+
+    The stabiliser H of r_i in S_n x S_k keeps r_i and every orbit, so it
+    maps the sub-search's candidates onto themselves, and the sub-search
+    branches at its top level on one vertex per H-orbit among them.
     """
     orbits = scatter(((tuple(sorted(Counter(w).values())), v) for v, w in enumerate(words)),
                      f"orbit masks of {len(words)} words")
@@ -182,11 +207,71 @@ def _clique_number(adj, words, relabel) -> int:
     # any order is exact; largest first leaves the later sub-searches small
     for orbit in sorted(orbits.values(), key=int.bit_count, reverse=True):
         r = (orbit & -orbit).bit_length() - 1
-        rest = max_clique_vertices(adj, len(words), relabel, within=adj[r] & ~taken,
-                                   beat=max(omega - 1, 0))
+        within = adj[r] & ~taken
+        rest = max_clique_vertices(adj, len(words), relabel, within=within,
+                                   beat=max(omega - 1, 0),
+                                   orbit_of=_stabiliser_orbits(words, words[r], n, within))
         omega = max(omega, 1 + len(rest))
         taken |= orbit
     return omega
+
+
+def _pair_key(r, w) -> tuple:
+    """The sorted pairs (r_p, w_p): two words share it exactly when a
+    permutation of positions that keeps r maps one onto the other."""
+    return tuple(sorted(zip(r, w)))
+
+
+def _relettered(key: tuple, swap: dict) -> tuple:
+    """The ``_pair_key`` of the image of a word of ``key`` under a letter
+    swap that keeps r's multiplicities, with its matching block swap."""
+    return tuple(sorted((swap.get(a, a), swap.get(b, b)) for a, b in key))
+
+
+def _letter_swaps(r, n: int) -> dict:
+    """Letter swaps that generate, with the position permutations that keep
+    r, the stabiliser H of r in S_n x S_k: the swap of each two consecutive
+    letters of equal multiplicity in r (letters r does not use included),
+    taken with the matching swap of their position blocks.  Each swap, a
+    dict {a: b, b: a}, is listed under both its letters and checked to fix
+    r; fewer swaps would keep the search exact, with finer orbits."""
+    alike = defaultdict(list)
+    counts = Counter(r)
+    for c in range(n):
+        alike[counts[c]].append(c)
+    fixed = _pair_key(r, r)
+    touching = defaultdict(list)
+    for letters in alike.values():
+        for a, b in zip(letters, letters[1:]):
+            swap = {a: b, b: a}
+            if _relettered(fixed, swap) != fixed:
+                raise InvariantError(f"swapping letters {a} and {b} moves {r}")
+            touching[a].append(swap)
+            touching[b].append(swap)
+    return touching
+
+
+def _stabiliser_orbits(words, r, n: int, within: int) -> dict:
+    """Each vertex of ``within``, which H must map onto itself, mapped to a
+    label of its H-orbit: the vertices grouped by ``_pair_key``, the keys
+    joined breadth first by the ``_letter_swaps`` touching their letters
+    (the others fix them), O(|within| k) swaps in all."""
+    key = {v: _pair_key(r, words[v]) for v in set_bits(within)}
+    touching = _letter_swaps(r, n)
+    label: dict = {}
+    for start in key.values():
+        if start in label:
+            continue
+        label[start] = start
+        queue = [start]
+        for pairs in queue:
+            for c in set(chain.from_iterable(pairs)):
+                for swap in touching[c]:
+                    image = _relettered(pairs, swap)
+                    if image not in label:
+                        label[image] = start
+                        queue.append(image)
+    return {v: label[pairs] for v, pairs in key.items()}
 
 
 def _complement(adj) -> list:
@@ -197,11 +282,13 @@ def _complement(adj) -> list:
 
 def _ordered_adjacency(graph: ConflictGraph, complemented: bool):
     """The kernel's ``relabel`` for the graph, or its complement: the
-    ``reverse_partners`` masks of the words in ``order``, O(|order| k r) AND
-    steps on |order|-bit masks, bit for bit the permuted adjacency."""
+    ``reverse_partners`` masks of the universe's columns, each permuted by
+    ``order``, O(|order| k r) AND steps on |order|-bit masks, bit for bit the
+    permuted adjacency.  The columns come from the validated universe, so no
+    ``Code`` is built again."""
     def relabel(order):
-        masks = list(reverse_partners(Code(graph.n, graph.k, graph.repetition_free,
-                                           [graph.words[v] for v in order])))
+        masks = list(reverse_partners([tuple(map(column.__getitem__, order))
+                                       for column in graph.columns]))
         return _complement(masks) if complemented else masks
     return relabel
 
@@ -213,7 +300,7 @@ def _optimum(graph: ConflictGraph, complemented: bool):
     adj = _complement(graph.adj) if complemented else graph.adj
     relabel = _ordered_adjacency(graph, complemented)
     chosen = max_clique_vertices(adj, len(graph.words), relabel,
-                                 stop=_clique_number(adj, graph.words, relabel))
+                                 stop=_clique_number(adj, graph.words, graph.n, relabel))
     return len(chosen), Code(
         n=graph.n,
         k=graph.k,

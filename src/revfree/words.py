@@ -143,8 +143,9 @@ def _distinct_columns(columns):
     return list(at), list(at.values())
 
 
-def reverse_partners(code: Code):
-    """Yield, word by word, the mask of the word indices it has a reverse with.
+def reverse_partners(columns):
+    """Yield, word by word, the mask of the word indices it has a reverse with,
+    for the words whose ``columns`` these are (a code's ``Code.columns``).
 
     Words x reversing with w at (i, j) are exactly those holding w_j at i and
     w_i at j, so the mask ORs ``support[i][w_j] & support[j][w_i]`` over
@@ -152,7 +153,7 @@ def reverse_partners(code: Code):
     holds w_i, on the d distinct columns (equal columns give equal masks):
     O(M d r) AND steps, r the most columns a letter occurs in.
     """
-    columns, _ = _distinct_columns(code.columns)
+    columns, _ = _distinct_columns(columns)
     support = support_masks(columns)
     where: dict = {}
     for j, masks in enumerate(support):

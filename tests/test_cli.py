@@ -489,6 +489,19 @@ class TestExactCommand:
         assert json.loads(result.stdout)["value"] == value
         assert elapsed < 1.5
 
+    def test_f63_within_its_budget(self):
+        # each omega sub-search branches once per orbit of its representative
+        # word's stabiliser: about 0.7 s fresh, where every image of a clique
+        # under the stabiliser took 2.4 s
+        from test_exact import F63_REFERENCE_WITNESS
+
+        result, elapsed = run_capped_cli("exact", "--n", "6", "--k", "3", "--mode", "F")
+        assert result.returncode == 0, result.stderr
+        doc = json.loads(result.stdout)
+        assert doc["value"] == 28
+        assert doc["witness"] == [[c + 1 for c in w] for w in F63_REFERENCE_WITNESS]
+        assert elapsed < 1.6
+
 
 class TestShrinkCommand:
     def test_trace_to_file(self, capsys, tmp_path):

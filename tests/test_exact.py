@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from collections import Counter
 from functools import cache
 from itertools import permutations, product
 from operator import itemgetter
@@ -9,6 +10,7 @@ import pytest
 
 from revfree import (
     CapacityError,
+    InvariantError,
     PreconditionError,
     build_conflict_graph,
     max_full_of_flips,
@@ -17,9 +19,14 @@ from revfree import (
     verify_full_of_flips,
     verify_reverse_free,
 )
+from revfree import exact as exact_module
+from revfree.bitmatrix import scatter
 from revfree.exact import (
     VERTEX_LIMIT,
     _clique_number,
+    _complement,
+    _letter_swaps,
+    _stabiliser_orbits,
     max_clique_vertices,
     word_universe_size,
 )
@@ -178,7 +185,7 @@ def assert_solved_as_the_reference(graph, adj, searched_as_complement, expected)
     solve = max_reverse_free if searched_as_complement else max_full_of_flips
     size, witness = optimum(solve, graph.n, graph.k, graph.repetition_free)
     assert witness.words == tuple(graph.words[v] for v in expected)
-    assert size == len(expected) == _clique_number(adj, graph.words,
+    assert size == len(expected) == _clique_number(adj, graph.words, graph.n,
                                                   gathered(adj, len(graph.words)))
 
 
@@ -302,12 +309,116 @@ class TestMaxCliqueKernel:
             assert all(within >> v & 1 for v in clique)
             assert all(adj[u] >> v & 1 for u in clique for v in clique if u != v)
 
+    def test_singleton_orbits_keep_the_clique_number(self):
+        rng = random.Random(15)
+        for adj, nv in random_graphs():
+            within = rng.getrandbits(nv) if nv else 0
+            singletons = {v: v for v in range(nv) if within >> v & 1}
+            relabel = gathered(adj, nv)
+            assert len(max_clique_vertices(adj, nv, relabel, within, orbit_of=singletons)) == len(
+                max_clique_vertices(adj, nv, relabel, within))
+
     @pytest.mark.parametrize("nv", [0, 1, 2, 7, 40])
     def test_edgeless_and_complete_witnesses_match_the_reference(self, nv):
         edgeless = [0] * nv
         complete = complement(edgeless, nv)
         for adj in (edgeless, complete):
             assert max_clique_vertices(adj, nv, gathered(adj, nv)) == reference_max_clique(adj, nv)
+
+
+def act(g, w):
+    """The word sigma o w o pi, g = (sigma, pi): sigma[w[pi[i]]] at position i."""
+    sigma, pi = g
+    return tuple(sigma[w[p]] for p in pi)
+
+
+def word_generators(r, n):
+    """H's generators acting on words: the swap of two consecutive positions
+    of one block of r, and each of ``_letter_swaps``'s letter swaps taken with
+    the matching swap of the two letters' position blocks."""
+    k = len(r)
+    blocks = [[i for i in range(k) if r[i] == c] for c in range(n)]
+    generators = []
+    for block in blocks:
+        for i, j in zip(block, block[1:]):
+            pi = list(range(k))
+            pi[i], pi[j] = j, i
+            generators.append((list(range(n)), pi))
+    swaps = {tuple(sorted(swap)): swap
+             for listed in _letter_swaps(r, n).values() for swap in listed}
+    for (a, b), swap in sorted(swaps.items()):
+        assert swap == {a: b, b: a}
+        sigma = list(range(n))
+        sigma[a], sigma[b] = b, a
+        pi = list(range(k))
+        for i, j in zip(blocks[a], blocks[b]):
+            pi[i], pi[j] = j, i
+        generators.append((sigma, pi))
+    return generators
+
+
+def stabiliser(r, n):
+    """Every (sigma, pi) in S_n x S_k that fixes r, by brute force."""
+    return [(sigma, pi) for sigma in permutations(range(n)) for pi in permutations(range(len(r)))
+            if act((sigma, pi), r) == r]
+
+
+# every universe of at most 256 words with n, k <= 4, and each orbit's
+# representative word: the first word of each letter-multiplicity type
+STABILISER_CASES = [
+    (n, k, repetition_free, r)
+    for repetition_free in (True, False)
+    for n in range(1, 5)
+    for k in range(1, (n if repetition_free else 4) + 1)
+    for r in {tuple(sorted(Counter(w).values())): w
+              for w in reversed(build_conflict_graph(n, k, repetition_free).words)}.values()
+]
+
+
+class TestStabiliserOrbits:
+    """The orbits that the omega pass branches over: each sub-search's
+    candidates, under the stabiliser H of its representative word r."""
+
+    @pytest.mark.parametrize("n, k, repetition_free, r", STABILISER_CASES)
+    def test_every_generator_fixes_r(self, n, k, repetition_free, r):
+        generators = word_generators(r, n)
+        assert all(act(g, r) == r for g in generators)
+        # one swap per two consecutive positions of a block, and per two
+        # consecutive letters of equal multiplicity in r
+        alike = Counter(Counter(r)[c] for c in range(n))
+        assert len(generators) == k - len(set(r)) + sum(m - 1 for m in alike.values())
+
+    @pytest.mark.parametrize("n, k, repetition_free, r", STABILISER_CASES)
+    def test_orbits_are_the_stabiliser_orbits(self, n, k, repetition_free, r):
+        graph = build_conflict_graph(n, k, repetition_free)
+        index = {w: v for v, w in enumerate(graph.words)}
+        full = (1 << len(graph.words)) - 1
+        generators = word_generators(r, n)
+        group = stabiliser(r, n)
+        v_r = index[r]
+        for within in (full, graph.adj[v_r], _complement(graph.adj)[v_r]):
+            masks = scatter(((label, v) for v, label in
+                             _stabiliser_orbits(graph.words, r, n, within).items()),
+                            "orbit masks")
+            # the masks partition within
+            assert sum(mask.bit_count() for mask in masks.values()) == within.bit_count()
+            covered = 0
+            for mask in masks.values():
+                assert not covered & mask
+                covered |= mask
+            assert covered == within
+            # each is closed under every generator, and is a whole H-orbit
+            for mask in masks.values():
+                members = [v for v in range(len(graph.words)) if mask >> v & 1]
+                assert all(mask >> index[act(g, graph.words[v])] & 1
+                           for g in generators for v in members)
+                assert {index[act(g, graph.words[members[0]])] for g in group} == set(members)
+
+    def test_a_generator_that_moves_r_is_refused(self, monkeypatch):
+        # letters of unequal multiplicity in r: the swap would move r
+        monkeypatch.setattr(exact_module, "Counter", lambda r: Counter())
+        with pytest.raises(InvariantError, match="moves"):
+            _letter_swaps((0, 0, 1), 2)
 
 
 class TestSolverWitnesses:

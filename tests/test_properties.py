@@ -1,7 +1,8 @@
 """Property tests: the reverse-partner kernel against the definition, verifier
 agreement, the word/matrix bijection, invariance under injective letter maps
-and S_k, S_n x S_k acting on the conflict graph as automorphisms, the
-clique search's ordered adjacency rebuilt by the partner kernel, the
+and S_k, S_n x S_k acting on the conflict graph as automorphisms and
+keeping reverses, verdicts and clique numbers, the clique search's ordered
+adjacency rebuilt by the partner kernel, the
 incremental shrink state against a full rebuild, and the shrink trace under
 increasing letter maps."""
 
@@ -22,7 +23,7 @@ from revfree import (
     verify_reverse_free,
 )
 from revfree import words as words_module
-from revfree.exact import _ordered_adjacency, max_clique_vertices
+from revfree.exact import _complement, _ordered_adjacency, max_clique_vertices
 from revfree.shrink import _step
 from revfree.words import find_reverse, overall_matrix, reverse_partners
 
@@ -83,7 +84,7 @@ def word_lists(draw, min_size=1, max_size=8):
 @given(word_lists(min_size=1, max_size=8))
 def test_kernel_matches_definition(spec):
     n, k, repetition_free, words = spec
-    partners = list(reverse_partners(Code(n, k, repetition_free, words)))
+    partners = list(reverse_partners(Code(n, k, repetition_free, words).columns))
     assert len(partners) == len(words)
     for a, mask in enumerate(partners):
         assert not mask >> a & 1, "a word is its own partner"
@@ -182,6 +183,40 @@ def test_letter_and_position_permutations_are_graph_automorphisms(spec):
         moved = sum(1 << image[u] for u in range(len(graph.words)) if graph.adj[v] >> u & 1)
         assert graph.adj[image[v]] == moved
         assert sorted(Counter(graph.words[image[v]]).values()) == sorted(Counter(w).values())
+
+
+@PROPERTY_SETTINGS
+@given(universe_symmetries(), st.data())
+def test_symmetries_keep_reverses_verdicts_and_clique_numbers(spec, data):
+    """g = (sigma, pi) maps w to sigma o w o pi.  It keeps whether two words
+    have a reverse, both verifiers' verdicts on a code, and the clique number
+    of the conflict graph, or of its complement, on any vertex set W and on
+    g(W): the symmetry the omega pass prunes by."""
+    n, k, repetition_free, sigma, pi = spec
+    graph = build_conflict_graph(n, k, repetition_free)
+    nv = len(graph.words)
+    index = {w: v for v, w in enumerate(graph.words)}
+
+    def act(w):
+        return tuple(sigma[w[p]] for p in pi)
+
+    words = data.draw(st.lists(st.sampled_from(graph.words), max_size=8, unique=True)
+                      if nv else st.just([]))
+    for u, v in combinations(words, 2):
+        assert (find_reverse(u, v) is None) == (find_reverse(act(u), act(v)) is None)
+    code = Code(n, k, repetition_free, words)
+    image = Code(n, k, repetition_free, [act(w) for w in words])
+    for method in ("pairwise", "signature"):
+        assert verify_reverse_free(image, method)[0] == verify_reverse_free(code, method)[0]
+    assert verify_full_of_flips(image)[0] == verify_full_of_flips(code)[0]
+
+    complemented = data.draw(st.booleans())
+    adj = _complement(graph.adj) if complemented else graph.adj
+    relabel = _ordered_adjacency(graph, complemented)
+    within = data.draw(st.integers(0, (1 << nv) - 1))
+    moved = sum(1 << index[act(w)] for v, w in enumerate(graph.words) if within >> v & 1)
+    assert len(max_clique_vertices(adj, nv, relabel, moved)) == len(
+        max_clique_vertices(adj, nv, relabel, within))
 
 
 @st.composite

@@ -512,7 +512,7 @@ def test_reverse_partners_reads_each_distinct_column_once(monkeypatch):
     monkeypatch.setattr(words_module, "support_masks", spy)
     halves = make_code(2, 3000, [(0,) * 1500 + (1,) * 1500, (1,) * 1500 + (0,) * 1500],
                        repetition_free=False)
-    assert list(words_module.reverse_partners(halves)) == [0b10, 0b01]
+    assert list(words_module.reverse_partners(halves.columns)) == [0b10, 0b01]
     assert built == [2]  # one dict of masks per column read
 
 
