@@ -11,7 +11,8 @@ refuses, by name, every mask table over ``MAX_MASK_BYTES``: those ``scatter``
 builds, a matrix document's row masks and a code's word and letter masks.
 
 Exact permanents use Glynn's formula with the signs walked in Gray-code
-order: 2^(n-1) terms, each formed from n running row sums, in O(n) memory.
+order: 2^(n-1) terms, each formed from n running row sums, in O(n) memory,
+in contiguous ranges of Gray indices summed on the usable CPUs.
 """
 
 from __future__ import annotations
@@ -22,10 +23,13 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import CapacityError, InvariantError, PreconditionError, _read_document
+from .fanout import fan_out, split
 
-# the largest side whose worst case, the all-ones matrix, finishes within a
-# 60 s budget: 46 s at side 27, 97 s at side 28 (2 shared vCPUs, Python
-# 3.11); each further side doubles the time
+# the largest side whose worst case, the all-ones matrix, finished within a
+# 60 s budget on one CPU: 46 s at side 27, 97 s at side 28 (2 shared vCPUs,
+# Python 3.11); each further side doubles the time.  On a busier day fresh
+# runs took 93-131 s at side 27 on one CPU (`taskset -c 0`) and 56-61 s on
+# two, where the shares run side by side, against 103 s before the fan-out
 PERMANENT_MAX_SIDE = 27
 
 # guards matrix documents read from outside: ``from_ones`` holds a list and
@@ -308,8 +312,9 @@ def permanent(matrix: BinaryMatrix) -> int:
     summed in exact integers with the n - 1 free signs walked in Gray-code
     order: each step flips one d_j, which moves the row sums of the rows
     with a 1 in column j by 2 and flips the term's sign.  That is 2^(n-1)
-    terms in O(n) memory.  Sides above ``PERMANENT_MAX_SIDE`` raise
-    ``CapacityError`` before any term is formed.
+    terms in O(n) memory, split into contiguous ranges of Gray indices
+    that ``fanout.fan_out`` sums on the usable CPUs.  Sides above
+    ``PERMANENT_MAX_SIDE`` raise ``CapacityError`` before any term is formed.
     """
     if matrix.rows != matrix.cols:
         raise PreconditionError(
@@ -318,12 +323,35 @@ def permanent(matrix: BinaryMatrix) -> int:
     n = matrix.rows
     if n > PERMANENT_MAX_SIDE:
         raise CapacityError(f"side {n} exceeds permanent limit {PERMANENT_MAX_SIDE}")
-    prod = math.prod
     col_rows = [list(set_bits(col)) for col in matrix.col_masks()]
-    rowsums = [bits.bit_count() for bits in matrix.row_masks()]
+    weights = [bits.bit_count() for bits in matrix.row_masks()]
+    total = sum(fan_out(lambda span: _glynn_terms(col_rows, weights, span),
+                        split(1 << (n - 1))))
+    if total < 0 or total & ((1 << (n - 1)) - 1):
+        raise InvariantError(
+            f"Glynn sum {total} at side {n} is not a non-negative multiple of 2^{n - 1}"
+        )
+    return total >> (n - 1)
+
+
+def _glynn_terms(col_rows, weights, span) -> int:
+    """The sum of the signed Glynn terms at the Gray indices in ``span``.
+
+    Gray index g sets d_(t+1) = -1 exactly for the set bits t of
+    g ^ (g >> 1), so the row sums at the span's start follow from the row
+    weights; from there each step flips one d_j as in ``permanent``.
+    """
+    prod = math.prod
+    n = len(weights)
+    rowsums = list(weights)
     step = [-2] * n  # change to column j's rows when d_j next flips
-    total = prod(rowsums)
-    for g in range(1, 1 << (n - 1)):
+    lo = span.start
+    for t in set_bits(lo ^ (lo >> 1)):
+        step[t + 1] = 2
+        for r in col_rows[t + 1]:
+            rowsums[r] -= 2
+    total = -prod(rowsums) if lo & 1 else prod(rowsums)
+    for g in range(lo + 1, span.stop):
         # Gray step g flips bit t = trailing zeros of g, which is sign d_{t+1}
         j = (g & -g).bit_length()
         d = step[j]
@@ -334,11 +362,7 @@ def permanent(matrix: BinaryMatrix) -> int:
             total -= prod(rowsums)
         else:
             total += prod(rowsums)
-    if total < 0 or total & ((1 << (n - 1)) - 1):
-        raise InvariantError(
-            f"Glynn sum {total} at side {n} is not a non-negative multiple of 2^{n - 1}"
-        )
-    return total >> (n - 1)
+    return total
 
 
 def regular_permanent_lower_bound(n: int, d: int) -> float:

@@ -25,6 +25,7 @@ from itertools import chain, islice, product
 
 from .bitmatrix import BinaryMatrix, pair_overlaps, set_bits
 from .errors import CapacityError, PreconditionError
+from .fanout import fan_out, split
 from .galois import factor_prime_power
 from .words import Code, check_code_letters
 
@@ -129,8 +130,13 @@ class SampleResult:
 ATTEMPT_BUDGET_FACTOR = 100
 # the largest plane side whose one-matching sample fits a 60 s budget with
 # room to spare: a fresh `construct plane-code --sample 1` takes 27-34 s at
-# q = 83 (side 6973) and 49-55 s at q = 89 (2 shared vCPUs, Python 3.11)
+# q = 83 (side 6973) and 49-55 s at q = 89 (2 shared vCPUs, Python 3.11);
+# one matching is one share, run with no fork, so the CPU count leaves it be
 SAMPLE_MAX_SIDE = 6973
+# a round of sampling holds its draws, two lists of n ints an attempt, until
+# it takes their words: at most 2^20 ints (8 MB of list slots), so sampling
+# far more words than the host has matchings does not hold count * 2n ints
+SAMPLE_ROUND_INTS = 1 << 20
 
 
 def sample_plane_permutations(
@@ -149,8 +155,13 @@ def sample_plane_permutations(
     through the inverse priority.  Results are deduplicated until ``count``
     distinct words are found, the budget of ``100 * count`` attempts is
     exhausted, or an attempt fails, since then every later one would too.
-    Deterministic for a fixed seed.  Sides above ``SAMPLE_MAX_SIDE`` raise
-    ``CapacityError`` before any search.
+    The draws are made in rounds, as many as could still be needed (up to
+    ``SAMPLE_ROUND_INTS`` ints of draws), and each round's searches are
+    split over the usable CPUs by ``fanout.fan_out``; the words are taken
+    in attempt order, so the result is the same on any number of CPUs.
+    Deterministic for a fixed seed.
+    Sides above ``SAMPLE_MAX_SIDE`` raise ``CapacityError`` before any
+    search.
     """
     if matrix.rows > SAMPLE_MAX_SIDE:
         raise CapacityError(f"side {matrix.rows} exceeds sampling limit {SAMPLE_MAX_SIDE}")
@@ -158,25 +169,49 @@ def sample_plane_permutations(
     _check_count("count", count)
     n = matrix.rows
     row_cols = [list(set_bits(mask)) for mask in matrix.row_masks()]
+    ones = sum(map(len, row_cols))
     rng = random.Random(seed)
     found: dict = {}
     budget = ATTEMPT_BUDGET_FACTOR * count
     attempts = 0
     order = list(range(n))
     priority = list(range(n))
-    while len(found) < count and attempts < budget:
-        attempts += 1
-        rng.shuffle(order)
-        rng.shuffle(priority)
+    failed = False
+    while len(found) < count and attempts < budget and not failed:
+        # a round can reach the count or the budget only on its last attempt
+        draws = []
+        for _ in range(min(count - len(found), budget - attempts,
+                           max(1, SAMPLE_ROUND_INTS // (2 * n)))):
+            rng.shuffle(order)
+            rng.shuffle(priority)
+            draws.append((order[:], priority[:]))
+        shares = fan_out(lambda span: _sample_words(row_cols, n, draws[span.start:span.stop]),
+                         split(len(draws), ones))
+        for word in chain.from_iterable(shares):
+            attempts += 1
+            if word is None:
+                failed = True
+                break
+            found.setdefault(word, None)
+    code = Code(n=n, k=n, repetition_free=True, words=tuple(found))
+    return SampleResult(code=code, attempts=attempts, complete=len(found) >= count)
+
+
+def _sample_words(row_cols, n, draws):
+    """The matching of each ``(order, priority)`` draw, as a word, up to and
+    including the first None: a host with no perfect matching fails every
+    attempt."""
+    words = []
+    for order, priority in draws:
         bit = [1 << rank for rank in priority]
         ranked = [sum(map(bit.__getitem__, cols)) for cols in row_cols]
         ranks = _augmenting_matching(ranked, n, order)
         if ranks is None:
+            words.append(None)
             break
         col_of = sorted(range(n), key=priority.__getitem__)
-        found.setdefault(tuple(map(col_of.__getitem__, ranks)), None)
-    code = Code(n=n, k=n, repetition_free=True, words=tuple(found))
-    return SampleResult(code=code, attempts=attempts, complete=len(found) >= count)
+        words.append(tuple(map(col_of.__getitem__, ranks)))
+    return words
 
 
 def _augmenting_matching(ranked, n, order):

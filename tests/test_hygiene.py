@@ -2,8 +2,8 @@
 used, every private top-level function has a caller in the package, every
 public function and method is read in the package unless it is listed with
 a reason, every module-level constant is read in the package, no mask is
-written bit by bit outside ``bitmatrix``, and no code is transposed outside
-``Code.columns``."""
+written bit by bit outside ``bitmatrix``, no code is transposed outside
+``Code.columns``, and no process is forked outside ``fanout``."""
 
 import ast
 from collections import Counter
@@ -139,3 +139,27 @@ def test_codes_are_transposed_only_in_code():
     ]
     assert [where for ours, where in transposes if not ours] == []
     assert [ours for ours, _ in transposes] == [True]  # the rule sees Code's own
+
+
+def test_processes_are_forked_only_in_fanout():
+    # ``fanout.fan_out`` reaps every child it forks; ``multiprocessing``,
+    # ``concurrent`` and ``threading`` would add start-up time and parent
+    # memory to every CLI call, and a thread would make forking unsafe
+    calls = [
+        (module == "fanout.py", f"{module}:{node.lineno}")
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("fork", "_exit")
+        and isinstance(node.value, ast.Name) and node.value.id == "os"
+    ]
+    assert [where for ours, where in calls if not ours] == []
+    assert [ours for ours, _ in calls] == [True, True]  # the rule sees fanout's own
+    imported = [
+        f"{module}:{name}"
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        for name in ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+        if name.partition(".")[0] in ("multiprocessing", "concurrent", "threading")
+    ]
+    assert imported == []
