@@ -22,7 +22,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import CapacityError, InvariantError, PreconditionError, _read_document
+from .errors import CapacityError, InvariantError, PreconditionError, read_document
 from .fanout import fan_out, split
 
 # the largest side whose worst case, the all-ones matrix, finished within a
@@ -82,7 +82,7 @@ def scatter(pairs, table: str) -> dict:
 class BinaryMatrix:
     """Immutable 0/1 matrix stored as one integer bitmask per row.
 
-    Bit ``c`` of ``row_mask(r)`` is the entry at row ``r``, column ``c``
+    Bit ``c`` of ``row_masks()[r]`` is the entry at row ``r``, column ``c``
     (both 0-based).  Column masks are derived on each call.  JSON I/O uses
     1-based coordinates.
     """
@@ -129,9 +129,6 @@ class BinaryMatrix:
     def get(self, r: int, c: int) -> int:
         return (self._row_bits[r] >> c) & 1
 
-    def row_mask(self, r: int) -> int:
-        return self._row_bits[r]
-
     def row_masks(self):
         return self._row_bits
 
@@ -142,9 +139,6 @@ class BinaryMatrix:
 
     def weight(self) -> int:
         return sum(bits.bit_count() for bits in self._row_bits)
-
-    def row_weight(self, r: int) -> int:
-        return self._row_bits[r].bit_count()
 
     def ones(self):
         """All 1-positions as 0-based (row, col) pairs in lexicographic order."""
@@ -159,7 +153,7 @@ class BinaryMatrix:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BinaryMatrix":
-        return cls.from_ones(*_read_document(data, "matrix", ("rows", "cols"), ones=2))
+        return cls.from_ones(*read_document(data, "matrix", ("rows", "cols"), ones=2))
 
     # -- dunder ------------------------------------------------------------
 
@@ -267,10 +261,7 @@ def count_s(matrix: BinaryMatrix) -> SCountReport:
     for a, b in combinations(masks, 2):
         shared = (a & b).bit_count()
         exact += shared * (shared - 1) // 2
-    row_pairs = 0
-    for r in range(matrix.rows):
-        d = matrix.row_weight(r)
-        row_pairs += d * (d - 1) // 2
+    row_pairs = sum(d * (d - 1) // 2 for d in map(int.bit_count, matrix.row_masks()))
     n, k = matrix.cols, matrix.rows
     m = matrix.weight() / (n * math.sqrt(k))
     return SCountReport(

@@ -169,7 +169,6 @@ def sample_plane_permutations(
     _check_count("count", count)
     n = matrix.rows
     row_cols = [list(set_bits(mask)) for mask in matrix.row_masks()]
-    ones = sum(map(len, row_cols))
     rng = random.Random(seed)
     found: dict = {}
     budget = ATTEMPT_BUDGET_FACTOR * count
@@ -185,8 +184,8 @@ def sample_plane_permutations(
             rng.shuffle(order)
             rng.shuffle(priority)
             draws.append((order[:], priority[:]))
-        shares = fan_out(lambda span: _sample_words(row_cols, n, draws[span.start:span.stop]),
-                         split(len(draws), ones))
+        shares = fan_out(lambda span: _sample_words(row_cols, draws[span.start:span.stop]),
+                         split(len(draws), matrix.weight()))
         for word in chain.from_iterable(shares):
             attempts += 1
             if word is None:
@@ -197,7 +196,7 @@ def sample_plane_permutations(
     return SampleResult(code=code, attempts=attempts, complete=len(found) >= count)
 
 
-def _sample_words(row_cols, n, draws):
+def _sample_words(row_cols, draws):
     """The matching of each ``(order, priority)`` draw, as a word, up to and
     including the first None: a host with no perfect matching fails every
     attempt."""
@@ -205,16 +204,16 @@ def _sample_words(row_cols, n, draws):
     for order, priority in draws:
         bit = [1 << rank for rank in priority]
         ranked = [sum(map(bit.__getitem__, cols)) for cols in row_cols]
-        ranks = _augmenting_matching(ranked, n, order)
+        ranks = _augmenting_matching(ranked, order)
         if ranks is None:
             words.append(None)
             break
-        col_of = sorted(range(n), key=priority.__getitem__)
+        col_of = sorted(range(len(row_cols)), key=priority.__getitem__)
         words.append(tuple(map(col_of.__getitem__, ranks)))
     return words
 
 
-def _augmenting_matching(ranked, n, order):
+def _augmenting_matching(ranked, order):
     """One perfect matching via augmenting paths (rows in the given order)
     on rank-relabelled columns; returns each row's column rank, or None.
 
@@ -227,6 +226,7 @@ def _augmenting_matching(ranked, n, order):
     after it.  ``owner`` and ``choice`` number a column by its bit length,
     rank + 1.
     """
+    n = len(ranked)
     owner = [-1] * (n + 1)
     choice = [0] * n
     full = (1 << n) - 1

@@ -27,7 +27,7 @@ class InvariantError(RuntimeError):
 _SEQUENCES = {list, tuple}
 
 
-def _read_document(data, kind: str, header, **tables):
+def read_document(data, kind: str, header, **tables):
     """The values of ``data``'s ``header`` keys, then of its ``tables`` keys.
 
     ``tables`` maps each key to its row width, or None for any width.  A

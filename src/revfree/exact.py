@@ -18,7 +18,7 @@ brute-force subset oracle cross-validates tiny instances.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, permutations, product
 
 from .bitmatrix import scatter, set_bits
@@ -33,16 +33,17 @@ ORACLE_VERTEX_LIMIT = 20
 class ConflictGraph:
     """All words of the mode's word set, plus the reverse relation as edges.
 
-    ``adj[v]`` is a bitmask over vertex indices; vertices are the words in
-    lexicographic order, and ``columns`` is their ``Code.columns``.
+    ``adj[v]`` is a bitmask over vertex indices; vertices are the words of
+    ``code``, the universe, in lexicographic order.
     """
 
-    n: int
-    k: int
-    repetition_free: bool
-    words: tuple
-    columns: tuple
+    code: Code
     adj: tuple
+
+    @property
+    def words(self) -> tuple:
+        # kept readable: perfbench's ``_graph_size`` hook counts ``result.words``
+        return self.code.words
 
 
 def word_universe_size(n: int, k: int, repetition_free: bool) -> int:
@@ -59,8 +60,7 @@ def word_universe_size(n: int, k: int, repetition_free: bool) -> int:
 def build_conflict_graph(n: int, k: int, repetition_free: bool) -> ConflictGraph:
     """Enumerate the word universe and connect the pairs having a reverse,
     each word to its ``reverse_partners`` mask."""
-    if n < 1 or k < 1:
-        raise PreconditionError("need n >= 1 and k >= 1")
+    empty = Code(n, k, repetition_free, ())  # Code's header rule, before the count
     total = word_universe_size(n, k, repetition_free)
     if total > VERTEX_LIMIT:
         raise CapacityError(
@@ -73,19 +73,18 @@ def build_conflict_graph(n: int, k: int, repetition_free: bool) -> ConflictGraph
         words = tuple(permutations(range(n), k)) if total else ()
     else:
         words = tuple(product(range(n), repeat=k))
-    code = Code(n, k, repetition_free, words)
-    return ConflictGraph(n=n, k=k, repetition_free=repetition_free, words=code.words,
-                         columns=code.columns, adj=tuple(reverse_partners(code.columns)))
+    code = replace(empty, words=words)
+    return ConflictGraph(code=code, adj=tuple(reverse_partners(code.columns)))
 
 
 # -- clique kernel -------------------------------------------------------------
 
 
-def max_clique_vertices(adj, nv: int, relabel, within: int | None = None, beat: int = 0,
+def max_clique_vertices(adj, relabel, within: int | None = None, beat: int = 0,
                         stop: int | None = None, orbit_of: dict | None = None):
     """Maximum clique of a bitset-adjacency graph, as ascending vertex list.
 
-    ``adj[v]`` is the mask of v's neighbours among vertices 0..nv-1.
+    ``adj[v]`` is the mask of v's neighbours among vertices 0..len(adj)-1.
     Branch and bound with greedy-coloring upper bounds; vertices are
     relabeled highest-degree-first (ties by index) so the search, and hence
     the returned witness, is deterministic.  The caller's ``relabel(order)``
@@ -110,11 +109,11 @@ def max_clique_vertices(adj, nv: int, relabel, within: int | None = None, beat: 
     is skipped.
     """
     if within is None:
-        within = (1 << nv) - 1
+        within = (1 << len(adj)) - 1
     if within.bit_count() <= beat:
         return []
     # a range scan, not set_bits: twice as fast on the dense masks searched here
-    order = sorted((v for v in range(nv) if within >> v & 1),
+    order = sorted((v for v in range(len(adj)) if within >> v & 1),
                    key=lambda v: (-(adj[v] & within).bit_count(), v))
     radj = relabel(order)
     if orbit_of is not None:
@@ -182,9 +181,9 @@ def max_clique_vertices(adj, nv: int, relabel, within: int | None = None, beat: 
     return sorted(order[i] for i in best)
 
 
-def _clique_number(adj, words, n: int, relabel) -> int:
-    """The clique number of a conflict graph, or of its complement, on
-    ``words`` over [n], searched once per symmetry orbit.
+def _clique_number(adj, code: Code, relabel) -> int:
+    """The clique number of a conflict graph, or of its complement, on the
+    words of ``code``, searched once per symmetry orbit.
 
     Relabelling letters and permuting positions keeps the reverse relation,
     so it acts on both graphs as automorphisms, whose orbits on words are
@@ -200,6 +199,7 @@ def _clique_number(adj, words, n: int, relabel) -> int:
     maps the sub-search's candidates onto themselves, and the sub-search
     branches at its top level on one vertex per H-orbit among them.
     """
+    words = code.words
     orbits = scatter(((tuple(sorted(Counter(w).values())), v) for v, w in enumerate(words)),
                      f"orbit masks of {len(words)} words")
     omega = 0
@@ -208,9 +208,8 @@ def _clique_number(adj, words, n: int, relabel) -> int:
     for orbit in sorted(orbits.values(), key=int.bit_count, reverse=True):
         r = (orbit & -orbit).bit_length() - 1
         within = adj[r] & ~taken
-        rest = max_clique_vertices(adj, len(words), relabel, within=within,
-                                   beat=max(omega - 1, 0),
-                                   orbit_of=_stabiliser_orbits(words, words[r], n, within))
+        rest = max_clique_vertices(adj, relabel, within=within, beat=max(omega - 1, 0),
+                                   orbit_of=_stabiliser_orbits(words, words[r], code.n, within))
         omega = max(omega, 1 + len(rest))
         taken |= orbit
     return omega
@@ -288,7 +287,7 @@ def _ordered_adjacency(graph: ConflictGraph, complemented: bool):
     ``Code`` is built again."""
     def relabel(order):
         masks = list(reverse_partners([tuple(map(column.__getitem__, order))
-                                       for column in graph.columns]))
+                                       for column in graph.code.columns]))
         return _complement(masks) if complemented else masks
     return relabel
 
@@ -299,14 +298,9 @@ def _optimum(graph: ConflictGraph, complemented: bool):
     at its first omega-clique, the witness the full search returns."""
     adj = _complement(graph.adj) if complemented else graph.adj
     relabel = _ordered_adjacency(graph, complemented)
-    chosen = max_clique_vertices(adj, len(graph.words), relabel,
-                                 stop=_clique_number(adj, graph.words, graph.n, relabel))
-    return len(chosen), Code(
-        n=graph.n,
-        k=graph.k,
-        repetition_free=graph.repetition_free,
-        words=tuple(graph.words[v] for v in chosen),
-    )
+    chosen = max_clique_vertices(adj, relabel, stop=_clique_number(adj, graph.code, relabel))
+    words = graph.code.words
+    return len(chosen), replace(graph.code, words=tuple(words[v] for v in chosen))
 
 
 def max_reverse_free(n: int, k: int, repetition_free: bool):
@@ -337,7 +331,7 @@ def naive_subset_oracle(graph: ConflictGraph, mode: str) -> int:
     """
     if mode not in ("independent", "clique"):
         raise PreconditionError(f"unknown oracle mode {mode!r}")
-    nv = len(graph.words)
+    nv = len(graph.adj)
     if nv > ORACLE_VERTEX_LIMIT:
         raise CapacityError(
             f"{nv} vertices exceed the oracle limit {ORACLE_VERTEX_LIMIT}"

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .bitmatrix import BinaryMatrix, pair_overlaps, scatter, set_bits
-from .errors import PreconditionError, _read_document
+from .errors import PreconditionError, read_document
 from .galois import GF
 
 
@@ -217,7 +217,7 @@ def plane_to_json_dict(plane: ProjectivePlane) -> dict:
 
 
 def plane_from_json_dict(data: dict) -> ProjectivePlane:
-    order, points, lines = _read_document(data, "plane", ("order",), points=3, lines=None)
+    order, points, lines = read_document(data, "plane", ("order",), points=3, lines=None)
     return ProjectivePlane(
         order=order,
         points=tuple(map(tuple, points)),

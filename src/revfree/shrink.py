@@ -45,9 +45,9 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import combinations
 
-from .bitmatrix import BinaryMatrix, count_s, scatter
+from .bitmatrix import count_s
 from .errors import InvariantError, PreconditionError
-from .words import Code, _letter_sharing_pairs, support_masks, verify_reverse_free
+from .words import Code, letter_sharing_pairs, overall_matrix, support_masks, verify_reverse_free
 
 DEFAULT_DENSITY_THRESHOLD = 10.0
 
@@ -148,7 +148,7 @@ def _step(state: ShrinkState):
         row_letters: dict = {}
         for i, c in state._support:
             row_letters.setdefault(i, set()).add(c)
-        if any(later for _, later in _letter_sharing_pairs(row_letters.values())):
+        if any(later for _, later in letter_sharing_pairs(row_letters.values())):
             raise InvariantError("no pair is avoided, yet the overall matrix holds an S")
         return None
     # a generator, not itertools.chain: the first Counter over a chain adds a
@@ -160,10 +160,8 @@ def _step(state: ShrinkState):
     m = state.density_m
     premise_ok = False
     if m >= 5.0:
-        # the one n-wide matrix, built only here, where n <= weight / 5; a kept
-        # word fills every row
-        rows = scatter(state._support, f"row masks of the {k}x{n} overall matrix")
-        s_exact = count_s(BinaryMatrix(k, n, rows.values())).exact_count
+        # the one n-wide matrix, built only here, where n <= weight / 5
+        s_exact = count_s(overall_matrix(state.code)).exact_count
         if s_exact >= n * n * m ** 4 / 5.0:
             premise_ok = True
             required = 2.0 * n * m ** 3 / (5.0 * math.sqrt(k))

@@ -34,7 +34,7 @@ from itertools import chain, repeat
 from operator import add
 
 from .bitmatrix import BinaryMatrix, check_mask_bytes, pair_overlaps, scatter, set_bits
-from .errors import CapacityError, PreconditionError, _read_document
+from .errors import CapacityError, PreconditionError, read_document
 
 Word = tuple  # letters as a tuple of ints, 0-based
 
@@ -254,7 +254,7 @@ def _reverse_free_pairwise(code: Code):
     return best is None, best
 
 
-def _letter_sharing_pairs(letter_sets):
+def letter_sharing_pairs(letter_sets):
     """Yield ``(i, later)`` per letter set i, ``later`` the mask of the j > i
     (bit j - i - 1) whose letter sets share two distinct letters with set i.
 
@@ -288,7 +288,7 @@ def _reverse_free_signatures(code: Code):
     columns, positions = _distinct_columns(code.columns)
     n = code.n
     witnesses = []
-    for i, later in _letter_sharing_pairs([set(column) for column in columns]):
+    for i, later in letter_sharing_pairs([set(column) for column in columns]):
         ci = columns[i]
         scaled = [x * n for x in ci] if later else ()
         for j in set_bits(later << (i + 1)):
@@ -346,7 +346,7 @@ def code_to_json_dict(code: Code) -> dict:
 
 
 def code_from_json_dict(data: dict) -> Code:
-    n, k, repetition_free, words = _read_document(
+    n, k, repetition_free, words = read_document(
         data, "code", ("n", "k", "repetition_free"), words=None
     )
     internal = tuple([tuple([c - 1 for c in w]) for w in words])

@@ -145,7 +145,7 @@ def test_criterion_5_s_counting(fano_incidence):
         matrix = BinaryMatrix(rows, cols, [rng.getrandbits(cols) for _ in range(rows)])
         naive = 0
         for r1, r2 in combinations(range(rows), 2):
-            both = matrix.row_mask(r1) & matrix.row_mask(r2)
+            both = matrix.row_masks()[r1] & matrix.row_masks()[r2]
             c = both.bit_count()
             naive += c * (c - 1) // 2
         assert count_s(matrix).exact_count == naive

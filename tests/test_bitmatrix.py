@@ -85,7 +85,7 @@ def reference_contains(haystack, pattern):
             mask = full
             for t, r in enumerate(rowsel):
                 if need >> t & 1:
-                    mask &= haystack.row_mask(r)
+                    mask &= haystack.row_masks()[r]
             allowed.append(mask)
         choice = []
 
@@ -434,7 +434,7 @@ def permuted(matrix, row_order, col_order):
     c moved to ``col_order[c]``."""
     rows = []
     for r in row_order:
-        bits = matrix.row_mask(r)
+        bits = matrix.row_masks()[r]
         rows.append(sum(1 << col_order[c] for c in range(matrix.cols) if bits >> c & 1))
     return BinaryMatrix(matrix.rows, matrix.cols, rows)
 
@@ -500,15 +500,21 @@ class TestPermanent:
             permanent(BinaryMatrix(1, 1, [1]))
 
 
+def load_tracing():
+    """The benchmark's ``perfbench/tracing.py``, loaded as a module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 def test_traced_spans_resolve():
     """Every target of the benchmark's span and count tables is still a
     module-level name or class attribute of its ``revfree`` module, so each
     per-layer metric keeps its span or counter; a rename would zero it
     silently."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_tracing()
     targets = [(module, attr) for module, attr, _, _ in tracing.SPANS]
     targets += [(module, attr) for module, attr, _ in tracing.COUNTED]
     for expected in [("bitmatrix", "permanent"), ("plane", "plane_build"),
@@ -521,6 +527,48 @@ def test_traced_spans_resolve():
         owner = vars(module)[owner_name] if owner_name else module
         assert vars(owner).get(name) is not None, f"{module_name}.{attr}"
     assert bitmatrix.permanent is permanent
+
+
+def test_count_hooks_count_real_results(fano_incidence, fano_code24):
+    """Every count hook of the benchmark runs on a real result of its span,
+    one job per call, and records the counts that result shows; a renamed
+    field would only print a warning in a traced run, and fail here."""
+    from revfree import construct, exact, shrink, words
+
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    calls = {
+        "graph": lambda: exact.build_conflict_graph(3, 3, True),
+        "sample": lambda: construct.sample_plane_permutations(fano_incidence, 5, seed=0),
+        "lift": lambda: construct.lift_code(fano_code24, 14, limit=100),
+        "code": lambda: words.Code(3, 2, False, [(0, 1), (2, 2)]),
+        "pairwise": lambda: words.verify_reverse_free(fano_code24),
+        "signature": lambda: words.verify_reverse_free(fano_code24, method="signature"),
+        "permanent": lambda: bitmatrix.permanent(fano_incidence),
+        # one light step, then one heavy step on one avoided pair
+        "shrink": lambda: shrink.run_shrink(words.Code(3, 2, True, [(0, 1), (1, 2), (2, 0)]), 0.0),
+    }
+    with tracing.installed(tracer) as missing:
+        results = {}
+        for tracer.job, call in calls.items():
+            results[tracer.job] = call()
+    assert missing == [] and tracer.errors == []
+    counts = {job: dict(tracer.counts[job]) for job in calls}
+    assert counts["graph"] == {"words.code_init_words": 6, "exact.graph_vertices": 6,
+                               "exact.graph_edges": 9}
+    sample = results["sample"]
+    assert counts["sample"] == {"words.code_init_words": 5, "construct.sample_attempts": 5,
+                                "construct.sample_distinct": 5}
+    assert (sample.attempts, len(sample.code.words)) == (5, 5)
+    assert counts["lift"] == {"words.code_init_words": 100, "construct.lift_words": 100}
+    assert counts["code"] == {"words.code_init_words": 2}
+    assert counts["pairwise"] == {"words.pairs_scanned": 24 * 23 // 2}
+    assert counts["signature"] == {"words.signatures": 24 * 7 * 6 // 2}
+    assert counts["permanent"] == {"bitmatrix.permanent_side": 7}
+    assert [step.kind for step in results["shrink"].steps] == ["light", "heavy"]
+    assert counts["shrink"] == {"words.code_init_words": 3, "words.signatures": 3,
+                                "shrink.light_steps": 1, "shrink.heavy_steps": 1,
+                                "shrink.avoided_pairs": 1}
 
 
 class TestRegularPermanentLowerBound:

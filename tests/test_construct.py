@@ -295,7 +295,7 @@ class TestSampling:
             ]
             ranked = [sum(1 << priority[c] for c in cols) for cols in candidates]
             expected = recursive_augmenting(candidates, n, order)
-            ranks = _augmenting_matching(ranked, n, order)
+            ranks = _augmenting_matching(ranked, order)
             col_of = sorted(range(n), key=priority.__getitem__)
             got = None if ranks is None else tuple(col_of[b] for b in ranks)
             assert got == expected

@@ -183,9 +183,9 @@ def assert_solved_as_the_reference(graph, adj, searched_as_complement, expected)
     """The mode's solver returns the reference's clique ``expected`` of
     ``adj`` as its witness, and the orbit searches find its size."""
     solve = max_reverse_free if searched_as_complement else max_full_of_flips
-    size, witness = optimum(solve, graph.n, graph.k, graph.repetition_free)
+    size, witness = optimum(solve, graph.code.n, graph.code.k, graph.code.repetition_free)
     assert witness.words == tuple(graph.words[v] for v in expected)
-    assert size == len(expected) == _clique_number(adj, graph.words, graph.n,
+    assert size == len(expected) == _clique_number(adj, graph.code,
                                                   gathered(adj, len(graph.words)))
 
 
@@ -239,6 +239,17 @@ class TestConflictGraph:
             build_conflict_graph(10, 5, False)
         assert "100000" in str(info.value)
 
+    @pytest.mark.parametrize("solve", [build_conflict_graph, max_reverse_free, max_full_of_flips])
+    def test_header_is_checked_by_codes_rule(self, solve):
+        # checked before the universe is counted or listed, so a float n or
+        # k never reaches permutations() or product() as a TypeError
+        for n, k, repetition_free in ((2.5, 2, True), (3, 2.0, False), (True, 2, True)):
+            with pytest.raises(PreconditionError, match="n/k must be integers"):
+                solve(n, k, repetition_free)
+        for n, k in ((0, 2), (2, 0), (-1, -1)):
+            with pytest.raises(PreconditionError, match="^need n >= 1 and k >= 1$"):
+                solve(n, k, False)
+
     def test_no_self_loops(self):
         graph = build_conflict_graph(3, 2, False)
         assert not any(adj >> v & 1 for v, adj in enumerate(graph.adj))
@@ -256,16 +267,16 @@ class TestConflictGraph:
 
 class TestMaxCliqueKernel:
     def test_empty_graph(self):
-        assert max_clique_vertices([], 0, gathered([], 0)) == []
+        assert max_clique_vertices([], gathered([], 0)) == []
 
     def test_edgeless(self):
         edgeless = [0, 0, 0]
-        assert max_clique_vertices(edgeless, 3, gathered(edgeless, 3)) in ([0], [1], [2])
+        assert max_clique_vertices(edgeless, gathered(edgeless, 3)) in ([0], [1], [2])
 
     def test_triangle_plus_pendant(self):
         # vertices 0-1-2 triangle, 3 attached to 0
         adj = [0b1110, 0b0101, 0b0011, 0b0001]
-        assert max_clique_vertices(adj, 4, gathered(adj, 4)) == [0, 1, 2]
+        assert max_clique_vertices(adj, gathered(adj, 4)) == [0, 1, 2]
 
     @pytest.mark.parametrize("n, k, repetition_free, searched_as_complement",
                              BENCHMARK_SHAPES)
@@ -275,27 +286,27 @@ class TestMaxCliqueKernel:
         nv = len(graph.words)
         adj = complement(graph.adj, nv) if searched_as_complement else list(graph.adj)
         expected = reference_max_clique(adj, nv)
-        assert max_clique_vertices(adj, nv, gathered(adj, nv)) == expected
+        assert max_clique_vertices(adj, gathered(adj, nv)) == expected
         assert_solved_as_the_reference(graph, adj, searched_as_complement, expected)
 
     def test_random_witnesses_match_the_reference(self):
         for adj, nv in random_graphs():
-            assert max_clique_vertices(adj, nv, gathered(adj, nv)) == reference_max_clique(adj, nv)
+            assert max_clique_vertices(adj, gathered(adj, nv)) == reference_max_clique(adj, nv)
 
     def test_stopping_at_the_clique_number_keeps_the_witness(self):
         for adj, nv in random_graphs():
             relabel = gathered(adj, nv)
-            full = max_clique_vertices(adj, nv, relabel)
-            assert max_clique_vertices(adj, nv, relabel, stop=len(full)) == full
+            full = max_clique_vertices(adj, relabel)
+            assert max_clique_vertices(adj, relabel, stop=len(full)) == full
 
     def test_a_bound_at_the_clique_number_finds_nothing(self):
         for adj, nv in random_graphs():
             relabel = gathered(adj, nv)
-            omega = len(max_clique_vertices(adj, nv, relabel))
-            assert max_clique_vertices(adj, nv, relabel, beat=omega) == []
-            assert max_clique_vertices(adj, nv, relabel, beat=omega + 1) == []
+            omega = len(max_clique_vertices(adj, relabel))
+            assert max_clique_vertices(adj, relabel, beat=omega) == []
+            assert max_clique_vertices(adj, relabel, beat=omega + 1) == []
             if omega:
-                assert len(max_clique_vertices(adj, nv, relabel, beat=omega - 1)) == omega
+                assert len(max_clique_vertices(adj, relabel, beat=omega - 1)) == omega
 
     def test_within_searches_the_induced_subgraph(self):
         rng = random.Random(14)
@@ -304,7 +315,7 @@ class TestMaxCliqueKernel:
             kept = [v for v in range(nv) if within >> v & 1]
             induced = [sum(1 << i for i, u in enumerate(kept) if adj[v] >> u & 1)
                        for v in kept]
-            clique = max_clique_vertices(adj, nv, gathered(adj, nv), within)
+            clique = max_clique_vertices(adj, gathered(adj, nv), within)
             assert len(clique) == len(reference_max_clique(induced, len(kept)))
             assert all(within >> v & 1 for v in clique)
             assert all(adj[u] >> v & 1 for u in clique for v in clique if u != v)
@@ -315,15 +326,15 @@ class TestMaxCliqueKernel:
             within = rng.getrandbits(nv) if nv else 0
             singletons = {v: v for v in range(nv) if within >> v & 1}
             relabel = gathered(adj, nv)
-            assert len(max_clique_vertices(adj, nv, relabel, within, orbit_of=singletons)) == len(
-                max_clique_vertices(adj, nv, relabel, within))
+            assert len(max_clique_vertices(adj, relabel, within, orbit_of=singletons)) == len(
+                max_clique_vertices(adj, relabel, within))
 
     @pytest.mark.parametrize("nv", [0, 1, 2, 7, 40])
     def test_edgeless_and_complete_witnesses_match_the_reference(self, nv):
         edgeless = [0] * nv
         complete = complement(edgeless, nv)
         for adj in (edgeless, complete):
-            assert max_clique_vertices(adj, nv, gathered(adj, nv)) == reference_max_clique(adj, nv)
+            assert max_clique_vertices(adj, gathered(adj, nv)) == reference_max_clique(adj, nv)
 
 
 def act(g, w):
@@ -501,7 +512,7 @@ class TestMaxFullOfFlips:
         nv = sys.getrecursionlimit() + 100
         full = (1 << nv) - 1
         adj = [full ^ (1 << v) for v in range(nv)]
-        assert max_clique_vertices(adj, nv, gathered(adj, nv)) == list(range(nv))
+        assert max_clique_vertices(adj, gathered(adj, nv)) == list(range(nv))
 
     def test_g22(self):
         size, witness = max_full_of_flips(2, 2, True)
@@ -543,7 +554,7 @@ def test_clique_search_matches_networkx_above_the_oracle_limit():
         graph.add_edges_from((u, v) for u in range(nv) for v in range(u + 1, nv)
                              if rng.random() < density)
         adj = [sum(1 << u for u in graph[v]) for v in range(nv)]
-        clique = max_clique_vertices(adj, nv, gathered(adj, nv))
+        clique = max_clique_vertices(adj, gathered(adj, nv))
         assert len(clique) == nx.max_weight_clique(graph, weight=None)[1]
         assert all(adj[u] >> v & 1 for u in clique for v in clique if u != v)
 

@@ -3,7 +3,8 @@ used, every private top-level function has a caller in the package, every
 public function and method is read in the package unless it is listed with
 a reason, every module-level constant is read in the package, no mask is
 written bit by bit outside ``bitmatrix``, no code is transposed outside
-``Code.columns``, and no process is forked outside ``fanout``."""
+``Code.columns``, no process is forked outside ``fanout``, and no module
+reads a private name of a sibling."""
 
 import ast
 from collections import Counter
@@ -57,10 +58,8 @@ def test_every_private_function_has_a_caller():
 # the reason given; a listed name that gains a reader, or goes, leaves the list
 UNREAD_PUBLIC = {
     "contains": "perfbench spans it; it moves to the tests with its span (ROADMAP item 1)",
-    "overall_matrix": "perfbench spans it; it moves to the tests with its span (ROADMAP item 1)",
     "naive_subset_oracle": "tests/test_acceptance.py calls it from the library",
     "regular_permanent_lower_bound": "tests/test_acceptance.py calls it from the library",
-    "row_mask": "tests/test_acceptance.py calls it from the library",
     "largest_plane_order": "the lower-bound planner of ROADMAP item 5 is to call it",
 }
 
@@ -163,3 +162,23 @@ def test_processes_are_forked_only_in_fanout():
         if name.partition(".")[0] in ("multiprocessing", "concurrent", "threading")
     ]
     assert imported == []
+
+
+def test_no_module_reads_a_private_name_of_a_sibling():
+    # a helper that siblings share is public; a leading underscore marks a
+    # module's own, so a rename inside one module never breaks another
+    relative = [node for tree in TREES.values() for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level]
+    siblings = {a.asname or a.name for node in relative if node.module is None
+                for a in node.names}
+    assert "exact" in siblings  # the rule sees ``from . import exact``
+    private = [
+        f"{module}:{node.lineno}"
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+        and any(a.name.startswith("_") for a in node.names)
+        or isinstance(node, ast.Attribute) and node.attr.startswith("_")
+        and isinstance(node.value, ast.Name) and node.value.id in siblings
+    ]
+    assert private == []

@@ -215,8 +215,8 @@ def test_symmetries_keep_reverses_verdicts_and_clique_numbers(spec, data):
     relabel = _ordered_adjacency(graph, complemented)
     within = data.draw(st.integers(0, (1 << nv) - 1))
     moved = sum(1 << index[act(w)] for v, w in enumerate(graph.words) if within >> v & 1)
-    assert len(max_clique_vertices(adj, nv, relabel, moved)) == len(
-        max_clique_vertices(adj, nv, relabel, within))
+    assert len(max_clique_vertices(adj, relabel, moved)) == len(
+        max_clique_vertices(adj, relabel, within))
 
 
 @st.composite
@@ -254,7 +254,7 @@ def test_rebuilt_ordered_adjacency_is_the_bit_gather(search):
         raise Ordered(order)
 
     try:
-        max_clique_vertices(adj, nv, spy, within)
+        max_clique_vertices(adj, spy, within)
         order = []
     except Ordered as asked:
         order = asked.args[0]
@@ -338,7 +338,7 @@ def test_pairwise_reads_no_mask_route(monkeypatch, fano_code24):
     def refuse(*args):
         raise AssertionError("pairwise read a mask route")
 
-    for name in ("reverse_partners", "support_masks", "_letter_sharing_pairs", "pair_overlaps"):
+    for name in ("reverse_partners", "support_masks", "letter_sharing_pairs", "pair_overlaps"):
         monkeypatch.setattr(words_module, name, refuse)
     assert verify_reverse_free(fano_code24, "pairwise") == (True, None)
 
@@ -385,8 +385,7 @@ def assert_matches_rebuild(state):
         overall = overall_matrix(state.code)
         assert set(state._support) == set(overall.ones())
         assert state.weight == overall.weight()
-        assert state.emptiness_z == sum(
-            1 for r in range(overall.rows) if overall.row_weight(r) <= 1)
+        assert state.emptiness_z == sum(1 for row in overall.row_masks() if row.bit_count() <= 1)
     assert rebuilt.weight == state.weight
     assert rebuilt.density_m == state.density_m
     assert rebuilt.emptiness_z == state.emptiness_z

@@ -120,7 +120,7 @@ class TestAvoidedPairs:
             assert set(state._support) == set(overall.ones())
             for r1 in range(k):
                 for r2 in range(r1 + 1, k):
-                    common = overall.row_mask(r1) & overall.row_mask(r2)
+                    common = overall.row_masks()[r1] & overall.row_masks()[r2]
                     cols = []
                     while common:
                         low = common & -common

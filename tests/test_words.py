@@ -486,8 +486,8 @@ def test_signature_reads_each_distinct_column_once(monkeypatch):
     # every column of two constant words is (0, 1): one letter set, where
     # reading all 2000 positions made C(2000, 2) set tests, seconds of work
     sweeps = []
-    sweep = words_module._letter_sharing_pairs
-    monkeypatch.setattr(words_module, "_letter_sharing_pairs",
+    sweep = words_module.letter_sharing_pairs
+    monkeypatch.setattr(words_module, "letter_sharing_pairs",
                         lambda letter_sets: sweeps.append(len(letter_sets)) or sweep(letter_sets))
     constant = make_code(2, 2000, [(0,) * 2000, (1,) * 2000], repetition_free=False)
     assert verify_reverse_free(constant, "signature") == (True, None)
