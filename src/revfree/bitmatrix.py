@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import CapacityError, InvariantError, PreconditionError, read_document
@@ -79,6 +79,7 @@ def scatter(pairs, table: str) -> dict:
     return masks
 
 
+@dataclass(frozen=True)
 class BinaryMatrix:
     """Immutable 0/1 matrix stored as one integer bitmask per row.
 
@@ -87,19 +88,20 @@ class BinaryMatrix:
     1-based coordinates.
     """
 
-    __slots__ = ("rows", "cols", "_row_bits")
+    rows: int
+    cols: int
+    _row_bits: tuple = field(repr=False)
 
-    def __init__(self, rows: int, cols: int, row_bits):
+    def __post_init__(self):
+        rows, cols = self.rows, self.cols
         _check_shape(rows, cols)
-        row_bits = tuple(row_bits)
+        row_bits = tuple(self._row_bits)
         if len(row_bits) != rows:
             raise PreconditionError(f"expected {rows} row masks, got {len(row_bits)}")
         for r, bits in enumerate(row_bits):
             if type(bits) is not int or bits < 0 or bits.bit_length() > cols:
                 raise PreconditionError(f"row {r} mask {bits!r} is not an int in [0, 2^{cols})")
-        self.rows = rows
-        self.cols = cols
-        self._row_bits = row_bits
+        object.__setattr__(self, "_row_bits", row_bits)
 
     # -- constructors -----------------------------------------------------
 
@@ -154,19 +156,6 @@ class BinaryMatrix:
     @classmethod
     def from_json_dict(cls, data: dict) -> "BinaryMatrix":
         return cls.from_ones(*read_document(data, "matrix", ("rows", "cols"), ones=2))
-
-    # -- dunder ------------------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, BinaryMatrix):
-            return NotImplemented
-        return (self.rows, self.cols, self._row_bits) == (other.rows, other.cols, other._row_bits)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self._row_bits))
-
-    def __repr__(self):
-        return f"BinaryMatrix({self.rows}x{self.cols}, weight={self.weight()})"
 
 
 def _check_shape(rows, cols):

@@ -233,7 +233,7 @@ def _cmd_bounds_table(args) -> int:
     if args.csv:
         sys.stdout.write(report.CSV_HEADER + "\n" + report.to_csv_row() + "\n")
     else:
-        _emit(report.to_json_dict(), None)
+        _emit(asdict(report), None)
     return 0
 
 

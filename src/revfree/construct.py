@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from itertools import chain, islice, product
 
 from .bitmatrix import BinaryMatrix, pair_overlaps, set_bits
@@ -159,14 +159,15 @@ def sample_plane_permutations(
     ``SAMPLE_ROUND_INTS`` ints of draws), and each round's searches are
     split over the usable CPUs by ``fanout.fan_out``; the words are taken
     in attempt order, so the result is the same on any number of CPUs.
-    Deterministic for a fixed seed.
-    Sides above ``SAMPLE_MAX_SIDE`` raise ``CapacityError`` before any
-    search.
+    Deterministic for a fixed seed.  Sides above ``SAMPLE_MAX_SIDE``, and a
+    ``count`` of words holding over ``MAX_CODE_LETTERS`` letters, raise
+    ``CapacityError`` before any search.
     """
     if matrix.rows > SAMPLE_MAX_SIDE:
         raise CapacityError(f"side {matrix.rows} exceeds sampling limit {SAMPLE_MAX_SIDE}")
     _check_matching_host(matrix)
     _check_count("count", count)
+    check_code_letters(count, matrix.rows)
     n = matrix.rows
     row_cols = [list(set_bits(mask)) for mask in matrix.row_masks()]
     rng = random.Random(seed)
@@ -345,9 +346,6 @@ class BoundsReport:
 
     def to_csv_row(self) -> str:
         return ",".join("" if v is None else repr(v) for v in astuple(self))
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 BoundsReport.CSV_HEADER = ",".join(f.name for f in fields(BoundsReport))

@@ -10,8 +10,8 @@ each worth at least ``SHARE_FLOOR`` units of work, and a single share, run
 with no fork, where there is one CPU, no ``os.fork``, or more than one
 thread.
 
-Only ``os``, ``sys`` and ``marshal`` are used, all loaded at interpreter start,
-so this module adds no start-up time and no memory to the CLI.
+Only ``os``, ``sys``, ``marshal`` and ``open`` are used, all loaded at
+interpreter start, so this module adds no start-up time and no memory.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def fan_out(func, shares) -> list:
             os.close(write)
             children.append((pid, read))
         results = [func(first)]
-        payloads = [_read_all(read) for _, read in children]
+        payloads = [open(read, "rb", closefd=False).read() for _, read in children]
     finally:
         failed = []
         for pid, read in children:
@@ -107,16 +107,8 @@ def _child(func, share, write):
         os.dup2(null, 2)
         # the inherited streams may write to other descriptors of the same files
         sys.stdout = sys.stderr = open(null, "w", closefd=False)
-        data = memoryview(marshal.dumps(func(share)))
-        while data:
-            data = data[os.write(write, data):]
+        with open(write, "wb", closefd=False) as pipe:
+            pipe.write(marshal.dumps(func(share)))
         status = 0
     finally:
         os._exit(status)
-
-
-def _read_all(read) -> bytes:
-    chunks = []
-    while chunk := os.read(read, 1 << 16):
-        chunks.append(chunk)
-    return b"".join(chunks)

@@ -28,7 +28,7 @@ does.  Letters are 0-based internally (0..n-1) and 1-based in JSON.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, repeat
 from operator import add
@@ -349,12 +349,11 @@ def code_from_json_dict(data: dict) -> Code:
     n, k, repetition_free, words = read_document(
         data, "code", ("n", "k", "repetition_free"), words=None
     )
+    header = Code(n, k, repetition_free, ())  # a header fault reads the same on the wire
     internal = tuple([tuple([c - 1 for c in w]) for w in words])
     try:
-        return Code(n=n, k=k, repetition_free=repetition_free, words=internal)
+        return replace(header, words=internal)
     except PreconditionError as exc:
-        if not str(exc).startswith("words["):
-            raise  # a header fault reads the same on the wire
         # valid documents skip this pass; a word fault is located in wire terms
         fault = _first_fault(words, n, k, repetition_free, 1)
         raise PreconditionError(f"malformed code document: {fault}") from exc

@@ -2,6 +2,7 @@ import importlib.util
 import math
 import random
 import time
+from dataclasses import FrozenInstanceError
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -229,6 +230,23 @@ class TestConstruction:
         doc = m.to_json_dict()
         assert doc["ones"] == [[1, 2], [1, 3], [2, 1]]
         assert BinaryMatrix.from_json_dict(doc) == m
+
+    def test_fields_are_frozen(self):
+        m = BinaryMatrix(2, 3, [0b110, 0b001])
+        for name, value in (("rows", 5), ("cols", 1), ("_row_bits", ("x",))):
+            with pytest.raises(FrozenInstanceError):
+                setattr(m, name, value)
+        assert (m.rows, m.cols, m.row_masks()) == (2, 3, (0b110, 0b001))
+        assert repr(m) == "BinaryMatrix(rows=2, cols=3)"
+
+    def test_equal_and_hashed_alike_however_built(self):
+        doc = {"rows": 2, "cols": 3, "ones": [[1, 2], [1, 3], [2, 1]]}
+        built = [BinaryMatrix.from_ones(2, 3, [(2, 1), (1, 3), (1, 2)]),
+                 BinaryMatrix(2, 3, [0b110, 0b001]),
+                 BinaryMatrix.from_json_dict(doc)]
+        assert built[0] == built[1] == built[2]
+        assert len({hash(m) for m in built}) == 1
+        assert built[0] != BinaryMatrix(3, 3, [0b110, 0b001, 0])
 
     def test_json_rejects_out_of_range(self):
         with pytest.raises(PreconditionError):

@@ -684,6 +684,14 @@ class TestLettersGuard:
         assert run_cli(capsys, "construct", "plane-code", "--q", "2") == (
             2, "", "error: code of 15 x 7 letters is over the limit of 100 letters\n")
 
+    def test_sampling_refused_over_the_limit(self, capsys, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("sampled a refused count")
+
+        monkeypatch.setattr(construct, "_sample_words", no_search)
+        assert run_cli(capsys, "construct", "plane-code", "--q", "16", "--sample", "29305") == (
+            2, "", "error: code of 29305 x 273 letters is over the limit of 8000000 letters\n")
+
     @pytest.mark.parametrize(
         "argv, letters",
         [

@@ -1,4 +1,5 @@
 import math
+import os
 import random
 from itertools import permutations
 
@@ -348,6 +349,26 @@ class TestSampling:
         with pytest.raises(CapacityError) as info:
             sample_plane_permutations(BinaryMatrix(side, side, [1 << i for i in range(side)]), 1)
         assert str(info.value) == f"side {side} exceeds sampling limit {limit}"
+
+    def test_letter_guard_comes_before_any_draw(self, monkeypatch):
+        # PG(2,16) has side 273: 29304 words hold 7999992 letters, 29305 are over
+        inc = incidence_matrix(plane_build(field_make(2, 4)))
+
+        class Searched(Exception):
+            pass
+
+        def searched(*args):
+            raise Searched
+
+        # one share, so the search is reached in this process
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(construct_module, "_sample_words", searched)
+        with pytest.raises(Searched):
+            sample_plane_permutations(inc, 29_304)
+        with pytest.raises(CapacityError) as info:
+            sample_plane_permutations(inc, 29_305)
+        assert str(info.value) == ("code of 29305 x 273 letters is over the limit of "
+                                   f"{MAX_CODE_LETTERS} letters")
 
     def test_zero_count(self, fano_incidence):
         result = sample_plane_permutations(fano_incidence, 0, seed=0)

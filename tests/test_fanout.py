@@ -8,7 +8,7 @@ import os
 import sys
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import pytest
 from hypothesis import given, settings
@@ -290,4 +290,29 @@ def test_children_write_nothing_to_this_process(capfd):
         fanout.fan_out(lambda s: s and noisy(s), range(3))
     assert fanout.fan_out(lambda s: s and noisy(s), range(2)) == [0, 1]
     assert capfd.readouterr() == ("", "")
+    assert no_child_remains()
+
+
+def _fails_at(share, error):
+    def func(s):
+        if s == share:
+            raise error
+        return [s] * 30000  # more than a pipe's buffer
+
+    return func
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize(
+    "func, raised",
+    [(_fails_at(None, None), None),
+     (_fails_at(2, ValueError("a share failed")), InvariantError),
+     (_fails_at(0, KeyError("the parent's share")), KeyError)],
+    ids=["success", "failing-child", "raising-parent"],
+)
+def test_every_descriptor_is_closed_on_every_path(func, raised):
+    before = sorted(os.listdir("/proc/self/fd"))
+    with pytest.raises(raised) if raised else nullcontext():
+        assert fanout.fan_out(func, range(3)) == [[s] * 30000 for s in range(3)]
+    assert sorted(os.listdir("/proc/self/fd")) == before
     assert no_child_remains()
